@@ -204,6 +204,14 @@ class TimedDefense final : public defense::Defense
         probe_.counter.sampled += sampled_;
         probe_.counter.sampledNs += sampledNs_;
         probe_.counter.outputs += actions_;
+        if (const auto *h =
+                dynamic_cast<const defense::Hydra *>(inner_.get())) {
+            // A miss fetches the counter line; a miss into a full
+            // cache also writes back the evicted line.
+            probe_.rccMisses += h->rccMisses();
+            probe_.rccEvictions +=
+                h->stats().metadataAccesses - h->rccMisses();
+        }
         probe_.log->close(span_);
     }
 

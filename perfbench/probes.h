@@ -147,6 +147,9 @@ struct DefenseProbe
     CallCounter counter;
     /** Steady-clock ns of the first defended-cell construction. */
     std::atomic<int64_t> firstCellNs{0};
+    /** Hydra's row-count cache, summed over the Hydra cells. */
+    std::atomic<uint64_t> rccMisses{0};
+    std::atomic<uint64_t> rccEvictions{0};
 };
 
 /**

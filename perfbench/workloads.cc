@@ -18,6 +18,7 @@
 #include "io/async_sink.h"
 #include "io/result_sink.h"
 #include "io/sweep_cache.h"
+#include "obs/trace.h"
 #include "sim/workload.h"
 
 namespace svard::perfbench {
@@ -28,7 +29,7 @@ namespace {
 // a 30 s run holds several rounds and reports their medians.
 constexpr size_t kMixRequests = 1500;   ///< requests per core
 constexpr size_t kAdvRequests = 1500;   ///< requests per core
-constexpr uint32_t kCharzExtraRows = 12; ///< seeded rows per bank
+constexpr uint32_t kCharzExtraRows = 36; ///< seeded rows per bank
 constexpr size_t kShortRequests = 150;
 constexpr uint32_t kShortCharzExtraRows = 1;
 
@@ -38,6 +39,12 @@ const std::vector<double> kMixThresholds = {1024, 128};
 constexpr uint32_t kMixMixes = 2;
 constexpr unsigned kMixThreads = 2;
 constexpr double kAdvThreshold = 64;
+/** Hydra-thrash trace length: adversarialHydraTrace cycles through
+ *  8192 rows, twice Hydra's 4096-entry row-count cache, only when the
+ *  trace has that many entries. The attacker core replays its trace,
+ *  so a trace of requestsPerCore entries would touch 1500 rows and hit
+ *  the cache after its first pass. */
+constexpr size_t kHydraThrashEntries = 8192;
 constexpr uint32_t kAdvRrsTargets = 4;
 const std::vector<std::string> kAdvModules = {"S0", "M0", "H1"};
 const std::vector<uint32_t> kCharzBanks = {1, 4, 10, 15};
@@ -239,6 +246,10 @@ simDefenseLayers(const TraceContext &tr, RoundResult &out)
     L["defense.migrations"] = count(s, "defense.migrations");
     L["defense.metadata_accesses"] =
         count(s, "defense.metadata_accesses");
+    L["defense.hydra_rcc_misses"] =
+        static_cast<double>(tr.defense.rccMisses.load());
+    L["defense.hydra_rcc_evictions"] =
+        static_cast<double>(tr.defense.rccEvictions.load());
 }
 
 // ------------------------------------------------------------------
@@ -375,8 +386,10 @@ adversarialSpec(const WorkloadConfig &cfg)
     adv.threads = 1;
     adv.progressLabel = "perfbench-adversarial";
     const size_t n = adv.requestsPerCore;
-    adv.cases.push_back({"Hydra-thrash", "hydra",
-                         {sim::adversarialHydraTrace(n, 3, adv.config)}});
+    adv.cases.push_back(
+        {"Hydra-thrash", "hydra",
+         {sim::adversarialHydraTrace(std::max(n, kHydraThrashEntries), 3,
+                                     adv.config)}});
     // The RRS attacker hammers the pair (row, row + 2); the seed picks
     // the target rows, as an attacker ignorant of the profile would.
     InputRng rng(cfg.seed ^ 0xADF5EEDull);
@@ -517,6 +530,50 @@ percentile(std::vector<double> v, double q)
     return v[std::min(i, v.size() - 1)];
 }
 
+/** The program's span recorder (obs::startTrace), on for the life of
+ *  this object; its file lives in a scratch directory. */
+class ProgramTrace
+{
+  public:
+    explicit ProgramTrace(const std::string &work_dir) : dir_(work_dir)
+    {
+        if (obs::traceEnabled())
+            throw std::runtime_error("the program's span recorder is "
+                                     "already on (SVARD_TRACE?)");
+        obs::startTrace(path());
+    }
+    ~ProgramTrace() { obs::stopTrace(); }
+    ProgramTrace(const ProgramTrace &) = delete;
+    ProgramTrace &operator=(const ProgramTrace &) = delete;
+
+    /** Stop recording; durations (s) of the complete events
+     *  `cat`/`name` in the written file (one event per line). */
+    std::vector<double>
+    durations(const std::string &cat, const std::string &name)
+    {
+        obs::stopTrace();
+        std::ifstream in(path());
+        if (!in)
+            throw std::runtime_error("cannot read trace \"" + path() +
+                                     "\"");
+        const std::string head = "{\"name\": \"" + name +
+                                 "\", \"cat\": \"" + cat + "\", ";
+        std::vector<double> out;
+        std::string line;
+        while (std::getline(in, line)) {
+            const size_t dur = line.find("\"dur\": ");
+            if (line.rfind(head, 0) == 0 && dur != std::string::npos)
+                out.push_back(std::stod(line.substr(dur + 7)) * 1e-6);
+        }
+        return out;
+    }
+
+  private:
+    std::string path() const { return dir_.path() + "/trace.json"; }
+
+    ScratchDir dir_;
+};
+
 RoundResult
 runCharz(const WorkloadConfig &cfg, TraceContext *tr)
 {
@@ -534,33 +591,20 @@ runCharz(const WorkloadConfig &cfg, TraceContext *tr)
     }
     out.setupS = secondsSince(start);
 
-    std::vector<double> row_s;
+    // Traced rounds run the same characterizeModule calls with the
+    // program's own span recorder on, and read each row's time from
+    // its "charz"/"row" spans: the charz.row_wall_us histogram has
+    // only log2 buckets and no maximum.
+    std::unique_ptr<ProgramTrace> rec;
+    if (tr)
+        rec = std::make_unique<ProgramTrace>(cfg.workDir);
     double buildprofile_s = 0.0;
     uint64_t ber_measurements = 0;
     for (const auto &rig : rigs) {
         std::vector<charz::RowResult> rows;
         {
             Phase module(tr, "charz.module");
-            if (!tr) {
-                rows = rig->charz->characterizeModule(rig->opt);
-            } else {
-                // Row by row, in characterizeModule's order, so each
-                // row's time is its own span.
-                for (uint32_t bank : rig->opt.banks) {
-                    std::vector<uint32_t> victims = {0};
-                    victims.insert(victims.end(),
-                                   rig->opt.extraRows.begin(),
-                                   rig->opt.extraRows.end());
-                    for (uint32_t v : victims) {
-                        ScopedSpan span(tr->log, "charz.row",
-                                        module.id());
-                        const auto t0 = Clock::now();
-                        rows.push_back(rig->charz->characterizeRow(
-                            bank, v, rig->opt));
-                        row_s.push_back(secondsSince(t0));
-                    }
-                }
-            }
+            rows = rig->charz->characterizeModule(rig->opt);
         }
         Phase build(tr, "core.buildprofile");
         const core::VulnProfile prof =
@@ -592,6 +636,12 @@ runCharz(const WorkloadConfig &cfg, TraceContext *tr)
     if (!tr)
         return out;
 
+    const std::vector<double> row_s = rec->durations("charz", "row");
+    if (row_s.size() != out.ops)
+        throw std::runtime_error("the program traced " +
+                                 std::to_string(row_s.size()) +
+                                 " charz rows of " +
+                                 std::to_string(out.ops));
     out.counts = obs::snapshot();
     auto &L = out.layers;
     double rows_total_s = 0.0;
@@ -643,12 +693,15 @@ plannedOps(const WorkloadConfig &cfg)
 }
 
 void
-prepareProcess(const WorkloadConfig &cfg, bool traced)
+prepareProcess(const WorkloadConfig &cfg)
 {
     if (cfg.name == "adversarial")
         installNoneMarker();
-    if (!traced)
-        return;
+}
+
+void
+prepareTracing(const WorkloadConfig &cfg)
+{
     if (cfg.name == "mix-sweep")
         installDefenseProbes(kMixDefenses);
     else if (cfg.name == "adversarial")

@@ -65,8 +65,16 @@ const std::vector<std::string> &workloadNames();
 /** Operations one round attempts (counted as failed if it throws). */
 uint64_t plannedOps(const WorkloadConfig &cfg);
 
-/** Process-wide set-up: register the probes a workload needs. */
-void prepareProcess(const WorkloadConfig &cfg, bool traced);
+/** Process-wide set-up of every run: the adversarial set-up marker. */
+void prepareProcess(const WorkloadConfig &cfg);
+
+/**
+ * Register the defense probes of a traced run. Call it after the first
+ * untraced round, so that round, the reference of a seed without
+ * recorded digests, builds its defenses through the program's own
+ * factories and the probes' copies must reproduce it.
+ */
+void prepareTracing(const WorkloadConfig &cfg);
 
 /** Run the workload once; `trace` is null for an untraced round.
  *  @throws whatever the program throws. */

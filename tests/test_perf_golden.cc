@@ -40,6 +40,7 @@
 #include "dram/subarray.h"
 #include "fault/vuln_model.h"
 #include "sim/controller.h"
+#include "sim/presets.h"
 #include "sim/system.h"
 #include "sim/workload.h"
 
@@ -78,6 +79,9 @@ using namespace svard;
 constexpr size_t kReqs = 1500;
 constexpr uint64_t kSeed = 11;
 constexpr double kThreshold = 512.0;
+/** Lower than kThreshold so every preset cell's hammer fires its
+ *  defense's preventive actions. */
+constexpr double kPresetThreshold = 128.0;
 
 /** Fold every stat that the byte-identity guarantee covers into one
  *  64-bit fingerprint (doubles mixed by bit pattern — exact). */
@@ -205,6 +209,50 @@ const GoldenCell kGolden[] = {
     // clang-format on
 };
 
+/** A golden cell on a non-Table-4 geometry preset. */
+struct PresetGoldenCell
+{
+    const char *preset;
+    const char *defense;
+    uint32_t trace;       ///< TraceKind (kMix0, kAdvRrs or kAdvHydra)
+    uint64_t fingerprint; ///< statsFingerprint of the run
+};
+
+/**
+ * The DDR5 (64 banks per channel over two ranks) and HBM2 (16
+ * channels of 16 banks) presets x {benign mix, RRS hammer, Hydra
+ * thrash} x {blockhammer (throttles), rrs (swaps), hydra (counter
+ * traffic)}, uniform thresholds. The hammer traces are generated for
+ * the preset's own row stride. Recorded with SVARD_DUMP_GOLDEN=1 on
+ * the per-request scan scheduler, before the per-bank index replaced
+ * it.
+ */
+const PresetGoldenCell kPresetGolden[] = {
+    // clang-format off
+    {"ddr5-4800-32bank", "blockhammer", 0, 0x61dae76b6904a9efULL},
+    {"ddr5-4800-32bank", "rrs", 0, 0x61dae76b6904a9efULL},
+    {"ddr5-4800-32bank", "hydra", 0, 0x61dae76b6904a9efULL},
+    {"ddr5-4800-32bank", "blockhammer", 2, 0xb796a59603b311d7ULL},
+    {"ddr5-4800-32bank", "rrs", 2, 0xb011dfb36e497d11ULL},
+    {"ddr5-4800-32bank", "hydra", 2, 0x92967c3b64399f98ULL},
+    {"ddr5-4800-32bank", "blockhammer", 3, 0xb24eac9dd81d7136ULL},
+    {"ddr5-4800-32bank", "rrs", 3, 0xb24eac9dd81d7136ULL},
+    {"ddr5-4800-32bank", "hydra", 3, 0x9c5795eefe55440dULL},
+    {"hbm2-pc-16ch", "blockhammer", 0, 0x0ff5719891621239ULL},
+    {"hbm2-pc-16ch", "rrs", 0, 0x0ff5719891621239ULL},
+    {"hbm2-pc-16ch", "hydra", 0, 0x0ff5719891621239ULL},
+    {"hbm2-pc-16ch", "blockhammer", 2, 0xd7551f51b605b9dcULL},
+    {"hbm2-pc-16ch", "rrs", 2, 0xa6ca03e3ff5530a4ULL},
+    {"hbm2-pc-16ch", "hydra", 2, 0xb612a7681ee0dc17ULL},
+    {"hbm2-pc-16ch", "blockhammer", 3, 0xc921c430f8258d31ULL},
+    {"hbm2-pc-16ch", "rrs", 3, 0xc921c430f8258d31ULL},
+    {"hbm2-pc-16ch", "hydra", 3, 0xc50040a3884df29fULL},
+    // clang-format on
+};
+
+const char *const kPresetGoldenDefenses[] = {"blockhammer", "rrs",
+                                             "hydra"};
+
 class GoldenStatsTest : public ::testing::Test
 {
   protected:
@@ -239,6 +287,25 @@ class GoldenStatsTest : public ::testing::Test
     {
         sim::SimConfig cfg;
         cfg.channels = channels;
+        return runCell(cfg, defense, makeProvider(provider, cfg),
+                       trace_kind);
+    }
+
+    static sim::RunResult
+    runPresetCell(const PresetGoldenCell &g)
+    {
+        const sim::SimConfig cfg = sim::presets::get(g.preset);
+        return runCell(cfg, g.defense,
+                       std::make_shared<core::UniformThreshold>(
+                           kPresetThreshold, cfg.rowsPerBank),
+                       g.trace);
+    }
+
+    static sim::RunResult
+    runCell(const sim::SimConfig &cfg, const char *defense,
+            std::shared_ptr<const core::ThresholdProvider> provider,
+            uint32_t trace_kind)
+    {
         const auto &suite = sim::benchmarkSuite();
         std::vector<std::vector<sim::TraceEntry>> traces;
         if (trace_kind == kAdvRrs || trace_kind == kAdvHydra) {
@@ -246,8 +313,8 @@ class GoldenStatsTest : public ::testing::Test
             // the Fig. 13 setup, which fires preventive actions.
             traces.push_back(
                 trace_kind == kAdvRrs
-                    ? sim::adversarialRrsTrace(kReqs, kSeed, 1000)
-                    : sim::adversarialHydraTrace(kReqs, kSeed));
+                    ? sim::adversarialRrsTrace(kReqs, kSeed, 1000, cfg)
+                    : sim::adversarialHydraTrace(kReqs, kSeed, cfg));
             const sim::WorkloadMix benign =
                 sim::adversarialBenignMix(cfg.cores);
             for (uint32_t c = 1; c < cfg.cores; ++c)
@@ -263,7 +330,7 @@ class GoldenStatsTest : public ::testing::Test
                     sim::coreTraceOffset(kSeed, c)));
         }
         sim::System sys(cfg, std::move(traces), kReqs, defense,
-                        makeProvider(provider, cfg), kSeed);
+                        std::move(provider), kSeed);
         return sys.run();
     }
 };
@@ -297,6 +364,16 @@ TEST_F(GoldenStatsTest, StatsBitIdenticalAcrossHotPathRewrites)
                     "0x%016llxULL},\n",
                     static_cast<unsigned long long>(
                         statsFingerprint(r)));
+        for (const char *preset : {"ddr5-4800-32bank", "hbm2-pc-16ch"})
+            for (uint32_t t : {kMix0, kAdvRrs, kAdvHydra})
+                for (const char *d : kPresetGoldenDefenses) {
+                    const PresetGoldenCell g{preset, d, t, 0};
+                    std::printf("    {\"%s\", \"%s\", %u, "
+                                "0x%016llxULL},\n",
+                                preset, d, t,
+                                static_cast<unsigned long long>(
+                                    statsFingerprint(runPresetCell(g))));
+                }
         GTEST_SKIP() << "golden dump mode";
     }
 
@@ -306,6 +383,20 @@ TEST_F(GoldenStatsTest, StatsBitIdenticalAcrossHotPathRewrites)
         EXPECT_EQ(statsFingerprint(r), g.fingerprint)
             << g.defense << "/" << g.provider << " ch=" << g.channels
             << " trace=" << g.trace << "\n  " << describeStats(r);
+    }
+}
+
+TEST_F(GoldenStatsTest, PresetStatsBitIdenticalAcrossHotPathRewrites)
+{
+    if (std::getenv("SVARD_DUMP_GOLDEN") != nullptr)
+        GTEST_SKIP() << "golden dump mode";
+    ASSERT_EQ(std::size(kPresetGolden),
+              2 * 3 * std::size(kPresetGoldenDefenses));
+    for (const PresetGoldenCell &g : kPresetGolden) {
+        const sim::RunResult r = runPresetCell(g);
+        EXPECT_EQ(statsFingerprint(r), g.fingerprint)
+            << g.preset << "/" << g.defense << " trace=" << g.trace
+            << "\n  " << describeStats(r);
     }
 }
 

@@ -10,20 +10,34 @@ namespace {
 constexpr dram::Tick kInf = std::numeric_limits<dram::Tick>::max() / 4;
 } // anonymous namespace
 
+MemController::Queue::Queue(size_t capacity, uint32_t banks)
+    : slot(capacity), next(capacity, kNil), prev(capacity, kNil),
+      bank(banks), pending((banks + 63) / 64, 0)
+{
+    SVARD_ASSERT(capacity < kNil, "request queue too deep");
+    for (size_t s = capacity; s-- > 0;)
+        free.push_back(static_cast<uint16_t>(s));
+}
+
 MemController::MemController(const SimConfig &cfg,
                              defense::Defense *defense,
                              Completion on_complete)
     : cfg_(cfg), mapper_(cfg), defense_(defense),
       onComplete_(std::move(on_complete)), banks_(cfg.totalBanks()),
-      ranks_(cfg.ranks), readQ_(cfg.readQueue), writeQ_(cfg.writeQueue),
-      pendingPerBank_(cfg.totalBanks(), 0),
-      pendingPos_(cfg.totalBanks(), 0)
+      ranks_(cfg.ranks), actReady_(cfg.ranks * cfg.bankGroups),
+      actGroup_(cfg.totalBanks()),
+      readQ_(cfg.readQueue, cfg.totalBanks()),
+      writeQ_(cfg.writeQueue, cfg.totalBanks())
 {
-    pendingBanks_.reserve(cfg.totalBanks());
     for (uint32_t r = 0; r < cfg_.ranks; ++r) {
         ranks_[r].refreshDue = cfg_.timing.tREFI;
         ranks_[r].lastActBg.assign(cfg_.bankGroups, -1'000'000);
+        for (uint32_t g = 0; g < cfg_.bankGroups; ++g)
+            actReady_[r * cfg_.bankGroups + g] =
+                rankActReady(ranks_[r], g);
     }
+    for (uint32_t b = 0; b < cfg.totalBanks(); ++b)
+        actGroup_[b] = rankOf(b) * cfg_.bankGroups + bankGroupOf(b);
     // Largest per-ACT burst: a defense may emit a handful of refresh,
     // migration, and metadata actions for one activation; reserve so
     // the buffer stops growing after the first few ACTs.
@@ -33,91 +47,139 @@ MemController::MemController(const SimConfig &cfg,
 bool
 MemController::enqueue(const MemRequest &req)
 {
+    Queue &q = req.write ? writeQ_ : readQ_;
+    if (q.size >= (req.write ? cfg_.writeQueue : cfg_.readQueue))
+        return false;
     MemRequest r = req;
     r.flatBank = mapper_.flatBank(r.addr);
-    if (r.write) {
-        if (writeQ_.size() >= cfg_.writeQueue)
-            return false;
-        writeQ_.push_back(r);
-    } else {
-        if (readQ_.size() >= cfg_.readQueue)
-            return false;
-        readQ_.push_back(r);
-    }
-    if (pendingPerBank_[r.flatBank]++ == 0) {
-        pendingPos_[r.flatBank] =
-            static_cast<uint32_t>(pendingBanks_.size());
-        pendingBanks_.push_back(r.flatBank);
-    }
-    if (r.notBefore != 0)
-        ++throttledQueued_;
-    if (scanCacheValid_ && r.write == scanCacheDrained_) {
-        // Incremental verdict update: the new request joins the
-        // cached (scanned) queue, so fold its earliest-serviceable
-        // time into the blocked-until bound instead of discarding
-        // the whole verdict. A request landing in the *other* queue
-        // conservatively drops the verdict (the else below), even
-        // though that queue is not the one being scanned — cheap
-        // safety on a determinism-critical path.
-        const Bank &bank = banks_[r.flatBank];
-        dram::Tick e;
-        if (bank.open && bank.row == r.addr.row) {
-            e = std::max(bank.readyColumn,
-                         busReady_ - cfg_.timing.tCL);
-        } else if (bank.open) {
-            e = bank.readyPre;
-        } else {
-            const Rank &rank = ranks_[rankOf(r.flatBank)];
-            e = std::max(bank.readyAct,
-                         rankActReady(rank,
-                                      bankGroupOf(r.flatBank)));
-        }
-        e = std::max(e, r.notBefore);
-        if (e < scanBlockedUntil_) {
-            scanBlockedUntil_ = e;
-            scanBlockedByBus_ =
-                bank.open && bank.row == r.addr.row &&
-                busReady_ - cfg_.timing.tCL > bank.readyColumn;
-        }
-    } else {
-        scanCacheValid_ = false;
-    }
-    quietValid_ = false; // new work may be issuable immediately
-    quietUntil_ = 0;     // stale jump target must not be revalidated
+    r.seq = seq_++;
+    link(q, r);
     return true;
 }
 
 void
-MemController::doActivate(uint32_t flat_bank, uint32_t row,
-                          bool maintenance)
+MemController::link(Queue &q, const MemRequest &req)
+{
+    const uint16_t s = q.free.back();
+    q.free.pop_back();
+    q.slot[s] = req;
+    BankList &l = q.bank[req.flatBank];
+    q.next[s] = kNil;
+    q.prev[s] = l.tail;
+    if (l.tail == kNil)
+        l.head = s;
+    else
+        q.next[l.tail] = s;
+    l.tail = s;
+    const Bank &bank = banks_[req.flatBank];
+    uint16_t &head = bank.open && bank.row == req.addr.row ? l.hit
+                                                           : l.miss;
+    if (head == kNil)
+        head = s;
+    l.throttledUntil = std::max(l.throttledUntil, req.notBefore);
+    q.pending[req.flatBank / 64] |= uint64_t{1} << (req.flatBank % 64);
+    ++q.size;
+}
+
+void
+MemController::unlink(Queue &q, uint16_t s)
+{
+    const uint32_t b = q.slot[s].flatBank;
+    BankList &l = q.bank[b];
+    const Bank &bank = banks_[b];
+    // The next head of the same kind is the next such request in
+    // arrival order after the one leaving.
+    auto advance = [&](uint16_t &head) {
+        if (head != s)
+            return;
+        const bool hit = bank.open && bank.row == q.slot[s].addr.row;
+        head = q.next[s];
+        while (head != kNil &&
+               (bank.open && bank.row == q.slot[head].addr.row) != hit)
+            head = q.next[head];
+    };
+    advance(l.hit);
+    advance(l.miss);
+    (q.prev[s] == kNil ? l.head : q.next[q.prev[s]]) = q.next[s];
+    (q.next[s] == kNil ? l.tail : q.prev[q.next[s]]) = q.prev[s];
+    if (l.head == kNil) {
+        l.throttledUntil = 0;
+        q.pending[b / 64] &= ~(uint64_t{1} << (b % 64));
+    }
+    q.free.push_back(s);
+    --q.size;
+}
+
+void
+MemController::reindex(uint32_t flat_bank)
+{
+    const Bank &bank = banks_[flat_bank];
+    for (Queue *q : {&readQ_, &writeQ_}) {
+        BankList &l = q->bank[flat_bank];
+        l.hit = l.miss = kNil;
+        for (uint16_t s = l.head;
+             s != kNil && (l.hit == kNil || l.miss == kNil);
+             s = q->next[s]) {
+            uint16_t &head =
+                bank.open && bank.row == q->slot[s].addr.row ? l.hit
+                                                             : l.miss;
+            if (head == kNil)
+                head = s;
+        }
+    }
+}
+
+void
+MemController::closeRow(uint32_t flat_bank)
 {
     Bank &bank = banks_[flat_bank];
-    Rank &rank = ranks_[rankOf(flat_bank)];
-    bank.open = true;
-    bank.row = row;
+    bank.open = false;
     bank.hitStreak = 0;
-    bank.actTime = now_;
-    bank.readyColumn = now_ + cfg_.timing.tRCD;
-    bank.readyPre = now_ + cfg_.timing.tRAS;
+    for (Queue *q : {&readQ_, &writeQ_}) {
+        BankList &l = q->bank[flat_bank];
+        l.hit = kNil;
+        l.miss = l.head;
+    }
+}
+
+void
+MemController::doActivate(const MemRequest &req)
+{
+    const auto &t = cfg_.timing;
+    Bank &bank = banks_[req.flatBank];
+    const uint32_t r = rankOf(req.flatBank);
+    Rank &rank = ranks_[r];
+    const uint32_t bg = bankGroupOf(req.flatBank);
+    if (rank.actCount == 4 &&
+        rank.oldestAct() + t.tFAW >
+            std::max({bank.readyAct, rank.lastAct + t.tRRD_S,
+                      rank.lastActBg[bg] + t.tRRD_L, req.arrive,
+                      req.notBefore}))
+        ++stats_.tfawStalls;
+    bank.open = true;
+    bank.row = req.addr.row;
+    bank.hitStreak = 0;
+    bank.readyColumn = now_ + t.tRCD;
+    bank.readyPre = now_ + t.tRAS;
     rank.lastAct = now_;
-    rank.lastActBg[bankGroupOf(flat_bank)] = now_;
+    rank.lastActBg[bg] = now_;
     rank.pushAct(now_);
+    for (uint32_t g = 0; g < cfg_.bankGroups; ++g)
+        actReady_[r * cfg_.bankGroups + g] = rankActReady(rank, g);
+    reindex(req.flatBank);
     ++stats_.activations;
-    (void)maintenance;
 }
 
 void
 MemController::doPrecharge(uint32_t flat_bank)
 {
     Bank &bank = banks_[flat_bank];
-    bank.open = false;
-    bank.hitStreak = 0;
+    closeRow(flat_bank);
     bank.readyAct = std::max(bank.readyAct, now_ + cfg_.timing.tRP);
 }
 
 void
 MemController::applyActions(const defense::ActionBuffer &acts,
-                            uint32_t /* flat_bank */, uint32_t /* row */,
                             dram::Tick *throttle_out)
 {
     using Kind = defense::PreventiveAction::Kind;
@@ -131,16 +193,16 @@ MemController::applyActions(const defense::ActionBuffer &acts,
         // The defense emits actions in the controller's own flat bank
         // space; the shared helper asserts that instead of folding
         // mismatches away with a modulo.
-        Bank &bank =
-            banks_[defense::resolveActionBank(a.bank, banks_.size())];
+        const uint32_t b =
+            defense::resolveActionBank(a.bank, banks_.size());
+        Bank &bank = banks_[b];
         // Row-content moves go through the memory controller, so they
         // occupy the shared channel data bus as well as the bank.
         auto occupy = [&](dram::Tick bank_dur, dram::Tick bus_dur) {
             dram::Tick base = std::max(now_, bank.readyAct);
             if (bank.open) {
                 base = std::max(now_, bank.readyPre) + t.tRP;
-                bank.open = false;
-                bank.hitStreak = 0;
+                closeRow(b);
             }
             bank.readyAct = std::max(bank.readyAct, base + bank_dur);
             if (bus_dur > 0)
@@ -201,13 +263,13 @@ MemController::refreshIfDue()
             continue;
         const uint32_t banks_per_rank =
             cfg_.bankGroups * cfg_.banksPerGroup;
-        for (uint32_t b = 0; b < banks_per_rank; ++b) {
-            Bank &bank = banks_[r * banks_per_rank + b];
+        for (uint32_t b = r * banks_per_rank;
+             b < (r + 1) * banks_per_rank; ++b) {
+            Bank &bank = banks_[b];
             dram::Tick base = std::max(now_, bank.readyAct);
             if (bank.open) {
                 base = std::max(now_, bank.readyPre) + cfg_.timing.tRP;
-                bank.open = false;
-                bank.hitStreak = 0;
+                closeRow(b);
             }
             bank.readyAct = std::max(bank.readyAct,
                                      base + cfg_.timing.tRFC +
@@ -215,15 +277,11 @@ MemController::refreshIfDue()
         }
         rank.refreshDue += cfg_.timing.tREFI;
         ++stats_.refreshes;
-        quietValid_ = false; // bank ready times moved
-        scanCacheValid_ = false;
     }
     // Refresh-window epoch for the defense's counter structures.
     if (defense_ && now_ - epochStart_ >= cfg_.timing.tREFW) {
         defense_->onEpochEnd(now_);
         epochStart_ = now_;
-        quietValid_ = false;
-        scanCacheValid_ = false;
     }
     maintenanceDue_ = kInf;
     for (const Rank &rank : ranks_)
@@ -238,197 +296,148 @@ MemController::updateDrainMode()
 {
     // Write drain hysteresis.
     if (draining_) {
-        if (writeQ_.size() <= cfg_.writeQueue / 4)
+        if (writeQ_.size <= cfg_.writeQueue / 4)
             draining_ = false;
     } else {
-        if (writeQ_.size() >= 3 * cfg_.writeQueue / 4 ||
-            (readQ_.empty() && !writeQ_.empty()))
+        if (writeQ_.size >= 3 * cfg_.writeQueue / 4 ||
+            (readQ_.size == 0 && writeQ_.size != 0))
             draining_ = true;
     }
-    return draining_ && !writeQ_.empty();
+    return draining_ && writeQ_.size != 0;
+}
+
+void
+MemController::issueColumn(Queue &q, uint16_t s)
+{
+    const auto &t = cfg_.timing;
+    const MemRequest r = q.slot[s];
+    Bank &bank = banks_[r.flatBank];
+    const dram::Tick cas = r.write ? t.tCWL : t.tCL;
+    const dram::Tick data = std::max(now_ + cas, busReady_);
+    busReady_ = data + t.tBL;
+    bank.readyColumn = std::max(bank.readyColumn, now_ + t.tCCD_L);
+    ++bank.hitStreak;
+    unlink(q, s);
+    if (r.write) {
+        bank.readyPre = std::max(bank.readyPre, data + t.tBL + t.tWR);
+        ++stats_.writes;
+    } else {
+        ++stats_.reads;
+        if (onComplete_)
+            onComplete_(r, data + t.tBL);
+    }
 }
 
 bool
-MemController::tryIssue()
+MemController::tryIssue(dram::Tick *wakeup)
 {
     const bool drained = updateDrainMode();
-
-    // A failed scan records the minimum earliest-serviceable time of
-    // the scanned queue; until something mutates scheduler state
-    // (enqueue, issue, refresh, epoch end) or the drain mode picks
-    // the other queue, a repeat scan before that time fails by
-    // construction — the dominant case at wakeups that crossed a
-    // candidate for a still-blocked request. lastFailCached_ tells
-    // run() the cached jump target survived too.
-    if (scanCacheValid_ && scanCacheDrained_ == drained &&
-        now_ < scanBlockedUntil_) {
-        lastFailCached_ = true;
-        ++stats_.blockedUntilHits;
-        return false;
-    }
-    lastFailCached_ = false;
-
-    RequestQueue &q = drained ? writeQ_ : readQ_;
-    if (q.empty()) {
-        // An empty chosen queue stays unissuable until an enqueue or
-        // a drain-mode flip (cache key mismatch) changes the picture.
-        scanCacheValid_ = true;
-        scanCacheDrained_ = drained;
-        scanBlockedUntil_ = kInf;
-        scanBlockedByBus_ = false;
-        return false;
-    }
-
+    Queue &q = drained ? writeQ_ : readQ_;
     const auto &t = cfg_.timing;
+    // A column may issue once the data bus frees within tCL.
+    const dram::Tick bus_at = busReady_ - t.tCL;
 
-    auto rank_can_act = [&](uint32_t flat_bank) {
-        const Rank &rank = ranks_[rankOf(flat_bank)];
-        return now_ >= rankActReady(rank, bankGroupOf(flat_bank));
-    };
-
-    auto issue_column = [&](size_t i) {
-        MemRequest r = q[i];
-        Bank &bank = banks_[r.flatBank];
-        const dram::Tick cas = r.write ? t.tCWL : t.tCL;
-        const dram::Tick data = std::max(now_ + cas, busReady_);
-        busReady_ = data + t.tBL;
-        bank.readyColumn = std::max(bank.readyColumn, now_ + t.tCCD_L);
-        ++bank.hitStreak;
-        if (r.write) {
-            bank.readyPre = std::max(bank.readyPre,
-                                     data + t.tBL + t.tWR);
-            ++stats_.writes;
-        } else {
-            ++stats_.reads;
-            if (onComplete_)
-                onComplete_(r, data + t.tBL);
-        }
-        if (--pendingPerBank_[r.flatBank] == 0) {
-            // Swap-erase from the compact list (order is irrelevant:
-            // every consumer computes order-independent minima).
-            const uint32_t last = pendingBanks_.back();
-            pendingBanks_[pendingPos_[r.flatBank]] = last;
-            pendingPos_[last] = pendingPos_[r.flatBank];
-            pendingBanks_.pop_back();
-        }
-        if (r.notBefore != 0)
-            --throttledQueued_;
-        q.erase(i);
-    };
-
-    // Bus availability for a column issue is the same for every
-    // candidate this cycle — hoisted out of both passes.
-    const bool bus_ok = busReady_ <= now_ + t.tCL;
-
-    // One fused read-only scan replaces the former two passes: it
-    // finds the pass-1 winner (oldest under-cap row hit — breaks
-    // immediately, nothing later can beat it) and remembers the
-    // pass-2 winner (oldest serviceable request of any kind) for the
-    // case no pass-1 hit exists. Selection is identical to running
-    // the passes separately; failures pay one queue walk, not two.
-    constexpr size_t kNone = SIZE_MAX;
-    size_t hit_idx = kNone;
-    size_t p2_idx = kNone;
-    // Earliest time any scanned request could become serviceable
-    // given unchanged state (only meaningful when the scan fails —
-    // then every request took a blocked path and contributed).
-    dram::Tick blocked_until = kInf;
-    bool blocked_by_bus = false;
-    auto blocked_at = [&](dram::Tick e, bool from_bus) {
-        if (e < blocked_until) {
-            blocked_until = e;
-            blocked_by_bus = from_bus;
+    // FR-FCFS by arrival order: the oldest under-cap row hit that can
+    // issue now, else the oldest request that can make progress.
+    constexpr uint64_t kNone = UINT64_MAX;
+    uint64_t hit_seq = kNone, any_seq = kNone;
+    uint16_t hit_slot = kNil, any_slot = kNil;
+    auto offer = [&](uint64_t &best, uint16_t &slot, uint16_t s) {
+        if (q.slot[s].seq < best) {
+            best = q.slot[s].seq;
+            slot = s;
         }
     };
-    for (size_t i = 0, n = q.size(); i < n; ++i) {
-        const MemRequest &r = q[i];
-        if (r.notBefore > now_) {
-            blocked_at(r.notBefore, false);
-            continue;
-        }
-        const Bank &bank = banks_[r.flatBank];
-        if (bank.open && bank.row == r.addr.row) {
-            if (bus_ok && bank.readyColumn <= now_) {
-                if (bank.hitStreak < cfg_.columnCap) {
-                    hit_idx = i;
-                    break;
+    // Earliest time a blocked request could issue, not counting row
+    // hits held back only by the bus (those wait for bus_at).
+    dram::Tick blocked = kInf;
+    bool bus_blocked = false;
+
+    for (size_t w = 0; w < q.pending.size(); ++w) {
+        for (uint64_t bits = q.pending[w]; bits; bits &= bits - 1) {
+            const uint32_t b =
+                static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits));
+            const Bank &bank = banks_[b];
+            const BankList &l = q.bank[b];
+            uint16_t hit = l.hit, miss = l.miss;
+            if (l.throttledUntil > now_) {
+                // Throttled requests wait for their release; the oldest
+                // of each kind among the rest stands for the bank.
+                hit = miss = kNil;
+                for (uint16_t s = l.head; s != kNil; s = q.next[s]) {
+                    const MemRequest &r = q.slot[s];
+                    if (r.notBefore > now_) {
+                        blocked = std::min(blocked, r.notBefore);
+                        continue;
+                    }
+                    uint16_t &head =
+                        bank.open && bank.row == r.addr.row ? hit : miss;
+                    if (head == kNil)
+                        head = s;
                 }
-                if (p2_idx == kNone)
-                    p2_idx = i; // capped hit: plain pass-2 column
-            } else {
-                const dram::Tick bus_at = busReady_ - t.tCL;
-                blocked_at(std::max(bank.readyColumn, bus_at),
-                           bus_at > bank.readyColumn);
             }
-            continue;
-        }
-        if (p2_idx != kNone)
-            continue; // pass-2 winner known; still hunting a hit
-        if (bank.open) {
-            if (bank.readyPre <= now_)
-                p2_idx = i; // row conflict: precharge
-            else
-                blocked_at(bank.readyPre, false);
-            continue;
-        }
-        if (bank.readyAct <= now_ && rank_can_act(r.flatBank)) {
-            p2_idx = i; // closed bank: activate
-        } else {
-            const Rank &rank = ranks_[rankOf(r.flatBank)];
-            const dram::Tick rank_at =
-                rankActReady(rank, bankGroupOf(r.flatBank));
-            // The bank itself is ready but the rank's four-activate
-            // window is the binding constraint: a true tFAW stall.
-            if (bank.readyAct <= now_ && rank_at > now_ &&
-                rank.actCount == 4 &&
-                rank_at == rank.oldestAct() + t.tFAW)
-                ++stats_.tfawStalls;
-            blocked_at(std::max(bank.readyAct, rank_at), false);
+            if (hit != kNil) {
+                if (bank.readyColumn <= now_ && bus_at <= now_) {
+                    if (bank.hitStreak < cfg_.columnCap)
+                        offer(hit_seq, hit_slot, hit);
+                    else
+                        offer(any_seq, any_slot, hit); // capped hit
+                } else if (bus_at > bank.readyColumn) {
+                    bus_blocked = true;
+                } else {
+                    blocked = std::min(blocked, bank.readyColumn);
+                }
+            }
+            if (miss != kNil) {
+                // Row conflict: precharge; closed bank: activate.
+                const dram::Tick at =
+                    bank.open ? bank.readyPre
+                              : std::max(bank.readyAct,
+                                         actReady_[actGroup_[b]]);
+                if (at <= now_)
+                    offer(any_seq, any_slot, miss);
+                else
+                    blocked = std::min(blocked, at);
+            }
         }
     }
 
-    if (p2_idx == kNone && hit_idx == kNone) {
-        scanCacheValid_ = true;
-        scanCacheDrained_ = drained;
-        scanBlockedUntil_ = blocked_until;
-        scanBlockedByBus_ = blocked_by_bus;
-        return false;
-    }
-    scanCacheValid_ = false; // about to issue: state changes
-
-    if (hit_idx != kNone) {
-        // Pass 1 (FR): oldest row hit under the column cap.
-        stats_.rowHits += banks_[q[hit_idx].flatBank].hitStreak > 0
-                              ? 1
-                              : 0;
-        issue_column(hit_idx);
+    if (hit_slot != kNil) {
+        stats_.rowHits +=
+            banks_[q.slot[hit_slot].flatBank].hitStreak > 0 ? 1 : 0;
+        issueColumn(q, hit_slot);
         return true;
     }
+    if (any_slot == kNil) {
+        // Row hits held back only by the bus wait for the first
+        // wakeup at or after bus_at, which is not a wakeup itself.
+        const bool by_bus = bus_blocked && bus_at < blocked;
+        *wakeup = nextWakeup(by_bus ? bus_at : blocked, !by_bus);
+        return false;
+    }
 
-    // Pass 2 (FCFS): progress the oldest serviceable request.
-    MemRequest &r = q[p2_idx];
+    MemRequest &r = q.slot[any_slot];
     Bank &bank = banks_[r.flatBank];
     if (bank.open && bank.row == r.addr.row) {
-        issue_column(p2_idx);
+        issueColumn(q, any_slot);
         return true;
     }
     if (bank.open) {
-        // Row conflict: close the row once tRAS allows.
         ++stats_.rowConflicts;
         doPrecharge(r.flatBank);
         return true;
     }
     // Bank closed: activate (defense may throttle instead).
-    dram::Tick throttle = 0;
     if (defense_ && !r.defenseCleared) {
+        dram::Tick throttle = 0;
         actionBuf_.clear();
         defense_->onActivate(r.flatBank, r.addr.row, now_, actionBuf_);
-        applyActions(actionBuf_, r.flatBank, r.addr.row, &throttle);
+        applyActions(actionBuf_, &throttle);
         if (throttle > 0) {
-            if (r.notBefore == 0)
-                ++throttledQueued_;
             r.notBefore = now_ + throttle;
-            return true; // state changed; rescan
+            BankList &l = q.bank[r.flatBank];
+            l.throttledUntil = std::max(l.throttledUntil, r.notBefore);
+            return true;
         }
         r.defenseCleared = true;
         if (bank.readyAct > now_) {
@@ -439,46 +448,54 @@ MemController::tryIssue()
             return true;
         }
     }
-    doActivate(r.flatBank, r.addr.row, false);
+    doActivate(r);
     return true;
 }
 
 dram::Tick
-MemController::nextWakeup(dram::Tick from) const
+MemController::nextWakeup(dram::Tick issue_at, bool is_candidate) const
 {
+    // Refreshes are processed on time, whatever else waits.
     dram::Tick next = kInf;
-    auto consider = [&](dram::Tick t) {
-        if (t > now_ && t >= from && t < next)
-            next = t;
+    for (const Rank &rank : ranks_)
+        if (rank.refreshDue > now_)
+            next = std::min(next, rank.refreshDue);
+    // The scheduler next runs at the first wakeup candidate at or
+    // after the earliest issue time, or after the defense epoch's end
+    // if that comes first. While reads are empty and writes sit below
+    // the exit watermark, the drain hysteresis flips on every
+    // evaluation, so then every candidate is visited.
+    dram::Tick from = now_ + 1;
+    if (!(readQ_.size == 0 && writeQ_.size != 0)) {
+        from = defense_
+                   ? std::min(issue_at, epochStart_ + cfg_.timing.tREFW)
+                   : issue_at;
+        if (from == issue_at && is_candidate)
+            return std::min(next, issue_at);
+    }
+    // Candidates: the bus, each pending bank's ready times and rank ACT
+    // readiness, and throttle releases.
+    auto consider = [&](dram::Tick c) {
+        if (c >= from && c > now_ && c < next)
+            next = c;
     };
-    // Bank and rank readiness only gates banks with queued work; the
-    // pending-bank list gives the same candidate set the old
-    // full-queue scan produced, one bank at a time instead of one
-    // request. The rank term is the exact per-bank ACT-legality time
-    // (max over tRRD_S, the bank group's tRRD_L, and tFAW): tighter
-    // than considering each constraint separately, and shared with
-    // the issue scan so the two can never disagree.
-    for (uint32_t b : pendingBanks_) {
-        const Bank &bank = banks_[b];
-        consider(bank.readyAct);
-        consider(bank.readyColumn);
-        consider(bank.readyPre);
-        consider(rankActReady(ranks_[rankOf(b)], bankGroupOf(b)));
-    }
-    // Throttle release times exist only while a defense is actively
-    // throttling; skip the queue walk entirely otherwise.
-    if (throttledQueued_ > 0) {
-        for (size_t i = 0, n = readQ_.size(); i < n; ++i)
-            consider(readQ_[i].notBefore);
-        for (size_t i = 0, n = writeQ_.size(); i < n; ++i)
-            consider(writeQ_[i].notBefore);
-    }
     consider(busReady_);
-    // Refresh processing times must always be visited, however far
-    // past them the caller's interest lies.
-    for (const auto &rank : ranks_)
-        if (rank.refreshDue > now_ && rank.refreshDue < next)
-            next = rank.refreshDue;
+    for (size_t w = 0; w < readQ_.pending.size(); ++w)
+        for (uint64_t bits = readQ_.pending[w] | writeQ_.pending[w]; bits;
+             bits &= bits - 1) {
+            const uint32_t b =
+                static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits));
+            const Bank &bank = banks_[b];
+            consider(bank.readyAct);
+            consider(bank.readyColumn);
+            consider(bank.readyPre);
+            consider(actReady_[actGroup_[b]]);
+            for (const Queue *q : {&readQ_, &writeQ_})
+                if (q->bank[b].throttledUntil > now_)
+                    for (uint16_t s = q->bank[b].head; s != kNil;
+                         s = q->next[s])
+                        consider(q->slot[s].notBefore);
+        }
     return next;
 }
 
@@ -487,84 +504,10 @@ MemController::run(dram::Tick until)
 {
     while (now_ < until) {
         refreshIfDue();
-        if (quietValid_) {
-            if (now_ >= quietUntil_ || now_ >= quietBusFlip_) {
-                quietValid_ = false; // wakeup reached: rescan
-            } else {
-                // Provably nothing can issue before quietUntil_, so
-                // the tryIssue scan is skipped — but its drain-mode
-                // hysteresis must still tick once per iteration (its
-                // state depends on how often it is evaluated).
-                updateDrainMode();
-            }
-        }
-        if (!quietValid_) {
-            if (tryIssue())
-                continue;
-            // The drain hysteresis oscillates when reads are empty
-            // but writes sit below the exit watermark: the scanned
-            // queue then alternates per evaluation, so a failed scan
-            // does not prove the *other* queue stays unissuable.
-            // Keep full per-candidate scans in that state.
-            const bool stable =
-                !(readQ_.empty() && !writeQ_.empty());
-            if (lastFailCached_ && now_ < quietUntil_ && stable) {
-                // The failed scan was served from its unchanged-state
-                // cache, so the previously computed jump target still
-                // stands; the bus lookahead that forced this rescan
-                // is verified blocked and stays blocked (busReady_ is
-                // static while no command issues).
-                quietBusFlip_ = kInf;
-                quietValid_ = true;
-            } else {
-                // Jump straight to the next *observable* time: while
-                // state is unchanged nothing can issue before the
-                // failed scan's blocked-until bound and no epoch
-                // boundary may be overjumped, so wakeup candidates
-                // below both are provably eventless (refresh times
-                // are always honored inside nextWakeup, and run()-
-                // boundary entries keep evaluating refreshIfDue
-                // exactly as before).
-                dram::Tick interest = 0;
-                if (stable && scanCacheValid_) {
-                    interest = scanBlockedUntil_;
-                    if (defense_)
-                        interest = std::min(
-                            interest,
-                            epochStart_ + cfg_.timing.tREFW);
-                }
-                if (stable && scanCacheValid_ &&
-                    !scanBlockedByBus_ &&
-                    scanBlockedUntil_ <= maintenanceDue_) {
-                    // The blocking minimum is a max of candidate
-                    // times, hence itself the first candidate at or
-                    // after it, and no refresh/epoch comes earlier:
-                    // it IS the next observable time — no bank pass.
-                    quietUntil_ = scanBlockedUntil_;
-                } else {
-                    quietUntil_ = nextWakeup(interest);
-                }
-                // If the bus is the blocker, its issue condition
-                // becomes true tCL *before* busReady_ — rescan from
-                // that point on.
-                quietBusFlip_ = busReady_ <= now_ + cfg_.timing.tCL
-                                    ? kInf
-                                    : busReady_ - cfg_.timing.tCL;
-                quietValid_ = stable;
-            }
-        }
-        const dram::Tick next = quietUntil_;
-        if (next >= until) {
-            if (idle())
-                now_ = until;
-            else
-                now_ = std::min(next, until);
-            break;
-        }
-        now_ = next;
+        dram::Tick next;
+        if (!tryIssue(&next))
+            now_ = std::min(next, until);
     }
-    if (now_ < until && idle())
-        now_ = until;
     return now_;
 }
 

@@ -7,12 +7,24 @@
  * DRAM traffic (victim refreshes, throttling stalls, migration/swap
  * bandwidth, metadata transfers).
  *
- * The inner loop is allocation-free and event-driven: requests live in
- * fixed ring buffers, defense actions land in a reusable ActionBuffer,
- * the tFAW history is a 4-slot ring, and a cached min-wakeup ("quiet
- * until") plus per-bank pending counts replace the full-queue rescans
- * the scheduler used to pay on every clock advance — with bit-identical
- * scheduling decisions (asserted by tests/test_perf_golden.cc).
+ * The scheduler works on a per-bank index instead of walking every
+ * queued request. Each queue links its requests per flat bank in
+ * arrival order and keeps, per bank, the oldest request to the open
+ * row, the oldest request to any other row, and the latest throttle
+ * release; a bitmask marks the banks with queued work. The index is
+ * updated as requests arrive and leave, as rows open and close, and
+ * on refresh, preventive actions and throttling. One scheduler pass
+ * visits each bank of the chosen queue once and finds the FR-FCFS
+ * winner by arrival order across banks; a bank whose throttle has not
+ * expired is walked request by request for that pass. When nothing
+ * can issue, the pass yields the earliest issue time, which is the
+ * next scheduler iteration unless it is the bus lookahead, the
+ * defense epoch ends first, or the drain hysteresis oscillates; only
+ * then does nextWakeup take the first ready time after it over every
+ * bank with work.
+ * The inner loop is allocation-free: requests live in fixed slots,
+ * defense actions land in a reusable ActionBuffer, and the tFAW
+ * history is a 4-slot ring.
  */
 #ifndef SVARD_SIM_CONTROLLER_H
 #define SVARD_SIM_CONTROLLER_H
@@ -39,73 +51,11 @@ struct MemRequest
     dram::Tick arrive = 0;      ///< time it entered the queue
     dram::Tick notBefore = 0;   ///< throttle release time
     uint64_t token = 0;         ///< caller-assigned id
+    uint64_t seq = 0;           ///< arrival order, set by enqueue
     /** The defense already observed (and admitted) this activation;
      *  it must not be consulted again when the ACT finally issues
      *  behind the preventive actions it triggered. */
     bool defenseCleared = false;
-};
-
-/**
- * Fixed-capacity circular request queue with order-preserving middle
- * erase (shifts whichever side is shorter, like std::deque, but over
- * one contiguous power-of-two buffer). Never allocates after
- * construction — the scheduler's per-activation hot path depends on
- * that.
- */
-class RequestQueue
-{
-  public:
-    explicit RequestQueue(size_t capacity)
-    {
-        size_t cap = 1;
-        while (cap < capacity)
-            cap <<= 1;
-        buf_.resize(cap);
-        mask_ = cap - 1;
-    }
-
-    size_t size() const { return count_; }
-    bool empty() const { return count_ == 0; }
-
-    MemRequest &
-    operator[](size_t i)
-    {
-        return buf_[(head_ + i) & mask_];
-    }
-
-    const MemRequest &
-    operator[](size_t i) const
-    {
-        return buf_[(head_ + i) & mask_];
-    }
-
-    /** Callers check fullness against their own limit first. */
-    void
-    push_back(const MemRequest &r)
-    {
-        buf_[(head_ + count_) & mask_] = r;
-        ++count_;
-    }
-
-    void
-    erase(size_t i)
-    {
-        if (i < count_ - i - 1) {
-            for (size_t j = i; j > 0; --j)
-                (*this)[j] = (*this)[j - 1];
-            head_ = (head_ + 1) & mask_;
-        } else {
-            for (size_t j = i; j + 1 < count_; ++j)
-                (*this)[j] = (*this)[j + 1];
-        }
-        --count_;
-    }
-
-  private:
-    std::vector<MemRequest> buf_;
-    size_t mask_ = 0;
-    size_t head_ = 0;
-    size_t count_ = 0;
 };
 
 /** Controller statistics. */
@@ -122,9 +72,8 @@ struct ControllerStats
     uint64_t swaps = 0;
     uint64_t metadataAccesses = 0;
     dram::Tick throttleStall = 0;
-    /** Scheduler scans answered by the O(1) blocked-until cache. */
-    uint64_t blockedUntilHits = 0;
-    /** Closed-bank activates blocked specifically by the tFAW window. */
+    /** ACTs whose tFAW bound was later than every other bound on them
+     *  (bank readiness, tRRD, arrival, throttle release). */
     uint64_t tfawStalls = 0;
 };
 
@@ -149,13 +98,13 @@ class MemController
     bool
     readQueueFull() const
     {
-        return readQ_.size() >= cfg_.readQueue;
+        return readQ_.size >= cfg_.readQueue;
     }
 
     bool
     writeQueueFull() const
     {
-        return writeQ_.size() >= cfg_.writeQueue;
+        return writeQ_.size >= cfg_.writeQueue;
     }
 
     /**
@@ -167,7 +116,7 @@ class MemController
     bool
     idle() const
     {
-        return readQ_.empty() && writeQ_.empty();
+        return readQ_.size == 0 && writeQ_.size == 0;
     }
 
     dram::Tick now() const { return now_; }
@@ -180,7 +129,6 @@ class MemController
         bool open = false;
         uint32_t row = 0;
         uint32_t hitStreak = 0;
-        dram::Tick actTime = 0;     ///< last ACT (for tRAS)
         dram::Tick readyAct = 0;    ///< earliest next ACT
         dram::Tick readyColumn = 0; ///< earliest next RD/WR
         dram::Tick readyPre = 0;    ///< earliest next PRE
@@ -214,31 +162,74 @@ class MemController
         }
     };
 
+    static constexpr uint16_t kNil = 0xffff;
+
+    /** A queue's requests of one flat bank, in arrival order. */
+    struct BankList
+    {
+        uint16_t head = kNil;
+        uint16_t tail = kNil;
+        uint16_t hit = kNil;  ///< oldest request to the open row
+        uint16_t miss = kNil; ///< oldest request to any other row
+        /** Latest throttle release among the bank's requests; while
+         *  it lies ahead, hit/miss may name a request that must wait,
+         *  so the pass walks the list instead. */
+        dram::Tick throttledUntil = 0;
+    };
+
+    /** One request queue (reads or writes): fixed slots, linked per
+     *  bank, and a bitmask of the banks with queued requests. */
+    struct Queue
+    {
+        std::vector<MemRequest> slot;
+        std::vector<uint16_t> next; ///< per slot: next in its bank
+        std::vector<uint16_t> prev;
+        std::vector<uint16_t> free; ///< unused slots (a stack)
+        std::vector<BankList> bank;
+        std::vector<uint64_t> pending;
+        uint32_t size = 0;
+
+        Queue(size_t capacity, uint32_t banks);
+    };
+
     /** Try to issue the best request at `now_`; returns true if one
-     *  was serviced (or partially progressed). */
-    bool tryIssue();
+     *  was serviced (or partially progressed). Otherwise nothing can
+     *  issue before `*wakeup`, the exact time of the next iteration. */
+    bool tryIssue(dram::Tick *wakeup);
+
+    /** The exact time of the next scheduler iteration after a failed
+     *  pass whose earliest issue time is `issue_at` (a wakeup
+     *  candidate itself unless it is the bus lookahead). */
+    dram::Tick nextWakeup(dram::Tick issue_at, bool is_candidate) const;
 
     /** Write-drain hysteresis tick; returns whether writes drain.
      *  The hysteresis is sequence-stateful, so it must be evaluated
-     *  exactly once per scheduler iteration — tryIssue does it when
-     *  it runs, run() does it when the quiet cache skips tryIssue. */
+     *  exactly once per scheduler iteration (tryIssue does it). */
     bool updateDrainMode();
 
-    /** Earliest future time at which anything could change, at or
-     *  after `from` (refresh processing times are always honored).
-     *  Scans the banks/ranks with queued work (pendingPerBank_)
-     *  instead of the queues themselves — same minimum, far fewer
-     *  iterations. */
-    dram::Tick nextWakeup(dram::Tick from = 0) const;
+    /** Append a request to its bank's list. */
+    void link(Queue &q, const MemRequest &req);
 
-    /** Issue an ACT to a bank (timing + defense hook). */
-    void doActivate(uint32_t flat_bank, uint32_t row, bool maintenance);
+    /** Remove slot `s` from its bank's list and free it. */
+    void unlink(Queue &q, uint16_t s);
+
+    /** Recompute both queues' hit/miss heads of a bank after its
+     *  open row changed. */
+    void reindex(uint32_t flat_bank);
+
+    /** Close a bank's row (all its requests become misses). */
+    void closeRow(uint32_t flat_bank);
+
+    /** Issue an ACT for `req` (timing, tFAW accounting). */
+    void doActivate(const MemRequest &req);
 
     void doPrecharge(uint32_t flat_bank);
 
+    /** Issue the column access of slot `s` and retire the request. */
+    void issueColumn(Queue &q, uint16_t s);
+
     /** Execute defense actions produced by an ACT. */
     void applyActions(const defense::ActionBuffer &acts,
-                      uint32_t flat_bank, uint32_t row,
                       dram::Tick *throttle_out);
 
     void refreshIfDue();
@@ -256,9 +247,7 @@ class MemController
     }
 
     /** Earliest next ACT a rank's tRRD/tFAW state allows for a bank
-     *  of bank group `bg` (the scheduler's single source of truth:
-     *  the issue check, the blocked-until scan, and the incremental
-     *  enqueue verdict all derive from it). */
+     *  of bank group `bg`; cached per rank and group in actReady_. */
     dram::Tick
     rankActReady(const Rank &rank, uint32_t bg) const
     {
@@ -283,56 +272,18 @@ class MemController
     dram::Tick maintenanceDue_ = 0;
     std::vector<Bank> banks_;
     std::vector<Rank> ranks_;
-    RequestQueue readQ_;
-    RequestQueue writeQ_;
+    /** rankActReady per (rank, bank group), refreshed on every ACT,
+     *  and each flat bank's index into it. */
+    std::vector<dram::Tick> actReady_;
+    std::vector<uint32_t> actGroup_;
+    Queue readQ_;
+    Queue writeQ_;
+    uint64_t seq_ = 0;
     bool draining_ = false;
 
     /** Reused per-ACT action buffer: cleared, never reallocated, so
      *  the defense hook performs no per-activation heap allocation. */
     defense::ActionBuffer actionBuf_;
-
-    /** Queued requests (both queues) per flat bank, plus a compact
-     *  unordered list of the banks with work — the index that lets
-     *  nextWakeup and the fast-fail check visit only the (few) banks
-     *  that can matter instead of every bank or every request. */
-    std::vector<uint32_t> pendingPerBank_;
-    std::vector<uint32_t> pendingBanks_;
-    std::vector<uint32_t> pendingPos_; ///< bank -> index in pendingBanks_
-    /** Queued requests with a throttle release time set; when zero,
-     *  nextWakeup skips the notBefore scan entirely. */
-    uint32_t throttledQueued_ = 0;
-
-    /** Cached min-wakeup: while valid and now_ < quietUntil_ (and
-     *  before quietBusFlip_, see below), no request can make
-     *  progress, so run() skips the tryIssue scan. Invalidated by
-     *  anything that changes schedulable state (enqueue, refresh,
-     *  epoch end); issue paths run full scans. */
-    bool quietValid_ = false;
-    dram::Tick quietUntil_ = 0;
-    /** The one lookahead condition in tryIssue — a column may issue
-     *  while the bus frees within tCL — flips at busReady_ - tCL,
-     *  which is not a wakeup candidate (the pre-rewrite scheduler
-     *  caught it by rescanning at caller-driven run() boundaries).
-     *  Crossing this time therefore forces a rescan, not a skip. */
-    dram::Tick quietBusFlip_ = 0;
-
-    /** Result cache of a failed scan: the minimum, over the scanned
-     *  queue, of each request's exact earliest-serviceable time.
-     *  While no state has changed (no enqueue, issue, refresh, or
-     *  epoch end) and the same queue is up, a repeat scan before
-     *  this time provably fails — tryIssue returns in O(1). */
-    bool scanCacheValid_ = false;
-    bool scanCacheDrained_ = false; ///< queue the cached fail covers
-    dram::Tick scanBlockedUntil_ = 0;
-    /** The blocking minimum came from the bus-lookahead term, which
-     *  is not a wakeup candidate — the jump shortcut must not treat
-     *  it as one. */
-    bool scanBlockedByBus_ = false;
-    /** Last tryIssue failure was answered from the scan cache, i.e.
-     *  provably nothing changed — run() then keeps its jump target
-     *  instead of re-deriving it. */
-    bool lastFailCached_ = false;
-
 
     ControllerStats stats_;
 };

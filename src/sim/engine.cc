@@ -65,6 +65,7 @@ SimEngine::stats() const
         sum.swaps += s.swaps;
         sum.metadataAccesses += s.metadataAccesses;
         sum.throttleStall += s.throttleStall;
+        sum.tfawStalls += s.tfawStalls;
     }
     return sum;
 }

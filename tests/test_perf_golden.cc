@@ -477,6 +477,57 @@ TEST(AllocationFreeActivatePath, SteadyStateTryIssueNeverAllocates)
             << name << " allocated on the steady-state activate path";
 }
 
+/** Fill the whole read queue with requests to one bank, alternating
+ *  two rows (the adversarialRrsTrace shape), then drain it. */
+void
+driveSingleBankHammer(sim::MemController &mc, const sim::SimConfig &cfg,
+                      dram::Tick *clock)
+{
+    for (uint32_t i = 0; i < cfg.readQueue; ++i) {
+        sim::MemRequest req;
+        req.core = 0;
+        req.write = false;
+        req.addr.rank = 0;
+        req.addr.bankGroup = 1;
+        req.addr.bank = 2;
+        req.addr.row = (i & 1) ? 1002 : 1000;
+        req.addr.column = (i / 2) % 128;
+        req.arrive = *clock;
+        ASSERT_TRUE(mc.enqueue(req));
+    }
+    while (!mc.idle())
+        *clock = mc.run(*clock + 1000 * dram::kPsPerNs);
+}
+
+/**
+ * The adversarial queue shape: every queued request sits in one bank,
+ * so per-bank request storage is at its deepest. Once warm, refilling
+ * and draining it must not allocate, with or without a defense.
+ */
+TEST(AllocationFreeActivatePath, FullQueueSingleBankHammerNeverAllocates)
+{
+    sim::SimConfig cfg;
+    auto provider = std::make_shared<core::UniformThreshold>(
+        64.0, cfg.rowsPerBank);
+    for (const char *name : {"none", "para", "hydra"}) {
+        auto defense = defense::makeDefenseByName(
+            name, defense::DefenseContext(cfg, provider, kSeed));
+        sim::MemController mc(cfg, defense.get(), nullptr);
+        dram::Tick clock = 0;
+        for (int pass = 0; pass < 4; ++pass)
+            driveSingleBankHammer(mc, cfg, &clock);
+        const uint64_t acts = mc.stats().activations;
+        g_heapAllocs.store(0);
+        g_countAllocs.store(true);
+        for (int pass = 0; pass < 4; ++pass)
+            driveSingleBankHammer(mc, cfg, &clock);
+        g_countAllocs.store(false);
+        EXPECT_GT(mc.stats().activations, acts) << name;
+        EXPECT_EQ(g_heapAllocs.load(), 0u)
+            << name << " allocated while hammering one bank";
+    }
+}
+
 /**
  * RRS is exercised too but held to an amortized bound instead of
  * strict zero: each swap resets a RANDOM partner row's counter,

@@ -16,6 +16,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/svard.h"
 #include "core/vuln_profile.h"
 #include "defense/defense.h"
@@ -239,7 +240,51 @@ driveRowMisses(sim::MemController &mc, const sim::SimConfig &cfg,
         *clock = mc.run(*clock + 1000 * dram::kPsPerNs);
 }
 
-/** Check tRRD_S / tRRD_L / tFAW over a recorded ACT timeline. */
+/** Seeded random read/write traffic over every rank: eight banks per
+ *  rank and three rows per bank, so the stream mixes row hits,
+ *  same-bank row conflicts and fresh activations, with the run()
+ *  horizon varied per step. It ends with a full-queue hammer of one
+ *  bank alternating two rows. */
+void
+driveRandomTraffic(sim::MemController &mc, const sim::SimConfig &cfg,
+                   uint64_t seed, dram::Tick *clock)
+{
+    Rng rng(seed);
+    auto enqueue = [&](uint32_t rank, uint32_t bank, uint32_t row,
+                       bool write) {
+        sim::MemRequest req;
+        req.core = 0;
+        req.write = write;
+        req.addr.rank = rank;
+        req.addr.bankGroup = bank / cfg.banksPerGroup;
+        req.addr.bank = bank % cfg.banksPerGroup;
+        req.addr.row = row;
+        req.addr.column = static_cast<uint32_t>(rng.next() % 32);
+        req.arrive = *clock;
+        while (!mc.enqueue(req))
+            *clock = mc.run(*clock + 100 * dram::kPsPerNs);
+    };
+    const uint32_t stride = cfg.banksPerRank() / 8;
+    for (uint32_t i = 0; i < 4000; ++i) {
+        enqueue(static_cast<uint32_t>(rng.next() % cfg.ranks),
+                static_cast<uint32_t>(rng.next() % 8) * stride,
+                1 + static_cast<uint32_t>(rng.next() % 3),
+                rng.next() % 3 == 0);
+        if (rng.next() % 4 == 0)
+            *clock = mc.run(*clock + static_cast<dram::Tick>(
+                                         1 + rng.next() % 200) *
+                                         dram::kPsPerNs);
+    }
+    while (!mc.idle())
+        *clock = mc.run(*clock + 1000 * dram::kPsPerNs);
+    for (uint32_t i = 0; i < cfg.readQueue; ++i)
+        enqueue(0, stride, (i & 1) ? 1002 : 1000, false);
+    while (!mc.idle())
+        *clock = mc.run(*clock + 1000 * dram::kPsPerNs);
+}
+
+/** Check tRRD_S / tRRD_L / tFAW and same-bank tRAS + tRP over a
+ *  recorded ACT timeline. */
 void
 expectActTimingRespected(const std::vector<ActRecorder::Act> &acts,
                          const sim::SimConfig &cfg)
@@ -274,6 +319,16 @@ expectActTimingRespected(const std::vector<ActRecorder::Act> &acts,
             last_bg[bg] = time;
         }
     }
+    // An ACT closes only after tRAS, and the bank reopens tRP after.
+    std::map<uint32_t, dram::Tick> last_act;
+    for (const auto &a : acts) {
+        const auto it = last_act.find(a.flatBank);
+        if (it != last_act.end())
+            EXPECT_GE(a.time - it->second, t.tRAS + t.tRP)
+                << "same-bank ACT-to-ACT below tRAS + tRP in bank "
+                << a.flatBank;
+        last_act[a.flatBank] = a.time;
+    }
 }
 
 class ControllerShapeP
@@ -300,6 +355,25 @@ TEST_P(ControllerShapeP, ActStreamHonorsTrrdAndTfaw)
     EXPECT_LT(banks_seen.back(), cfg.banksPerRank());
     ASSERT_GE(recorder.acts.size(), 6u * cfg.banksPerRank());
     expectActTimingRespected(recorder.acts, cfg);
+
+    // Seeded random read/write traffic on a fresh controller.
+    for (uint64_t seed : {1, 2, 3}) {
+        ActRecorder random_recorder(cfg.rowsPerBank);
+        sim::MemController random_mc(cfg, &random_recorder, nullptr);
+        dram::Tick random_clock = 0;
+        driveRandomTraffic(random_mc, cfg, seed, &random_clock);
+        const sim::ControllerStats &st = random_mc.stats();
+        EXPECT_GT(st.writes, 0u);
+        EXPECT_GT(st.rowHits, 0u);
+        EXPECT_GT(st.rowConflicts, 0u);
+        std::vector<bool> rank_seen(cfg.ranks, false);
+        for (const auto &a : random_recorder.acts)
+            rank_seen[a.flatBank / cfg.banksPerRank()] = true;
+        EXPECT_EQ(std::count(rank_seen.begin(), rank_seen.end(), true),
+                  static_cast<long>(cfg.ranks));
+        ASSERT_GE(random_recorder.acts.size(), 500u);
+        expectActTimingRespected(random_recorder.acts, cfg);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Presets, ControllerShapeP,

@@ -409,10 +409,27 @@ MemController::tryIssue(dram::Tick *wakeup)
         return true;
     }
     if (any_slot == kNil) {
-        // Row hits held back only by the bus wait for the first
-        // wakeup at or after bus_at, which is not a wakeup itself.
+        // The scheduler next runs at the earliest issue time when that
+        // is a wakeup candidate itself (a bank or rank ready time or a
+        // throttle release). Otherwise it runs at the first candidate
+        // after: row hits held back only by the bus wait from bus_at,
+        // and a defense epoch ending first is noticed at the first
+        // candidate after its end. While reads are empty and writes
+        // sit below the exit watermark, the drain hysteresis flips on
+        // every evaluation, so then every candidate is visited.
         const bool by_bus = bus_blocked && bus_at < blocked;
-        *wakeup = nextWakeup(by_bus ? bus_at : blocked, !by_bus);
+        dram::Tick next = by_bus ? bus_at : blocked;
+        const dram::Tick epoch_end =
+            defense_ ? epochStart_ + t.tREFW : kInf;
+        if (readQ_.size == 0 && writeQ_.size != 0)
+            next = nextWakeup(now_ + 1);
+        else if (by_bus || epoch_end < next)
+            next = nextWakeup(std::min(next, epoch_end));
+        // Refreshes are processed on time, whatever else waits.
+        for (const Rank &rank : ranks_)
+            if (rank.refreshDue > now_)
+                next = std::min(next, rank.refreshDue);
+        *wakeup = next;
         return false;
     }
 
@@ -453,28 +470,11 @@ MemController::tryIssue(dram::Tick *wakeup)
 }
 
 dram::Tick
-MemController::nextWakeup(dram::Tick issue_at, bool is_candidate) const
+MemController::nextWakeup(dram::Tick from) const
 {
-    // Refreshes are processed on time, whatever else waits.
-    dram::Tick next = kInf;
-    for (const Rank &rank : ranks_)
-        if (rank.refreshDue > now_)
-            next = std::min(next, rank.refreshDue);
-    // The scheduler next runs at the first wakeup candidate at or
-    // after the earliest issue time, or after the defense epoch's end
-    // if that comes first. While reads are empty and writes sit below
-    // the exit watermark, the drain hysteresis flips on every
-    // evaluation, so then every candidate is visited.
-    dram::Tick from = now_ + 1;
-    if (!(readQ_.size == 0 && writeQ_.size != 0)) {
-        from = defense_
-                   ? std::min(issue_at, epochStart_ + cfg_.timing.tREFW)
-                   : issue_at;
-        if (from == issue_at && is_candidate)
-            return std::min(next, issue_at);
-    }
     // Candidates: the bus, each pending bank's ready times and rank ACT
     // readiness, and throttle releases.
+    dram::Tick next = kInf;
     auto consider = [&](dram::Tick c) {
         if (c >= from && c > now_ && c < next)
             next = c;

@@ -20,8 +20,7 @@
  * can issue, the pass yields the earliest issue time, which is the
  * next scheduler iteration unless it is the bus lookahead, the
  * defense epoch ends first, or the drain hysteresis oscillates; only
- * then does nextWakeup take the first ready time after it over every
- * bank with work.
+ * then does nextWakeup scan the ready times of every bank with work.
  * The inner loop is allocation-free: requests live in fixed slots,
  * defense actions land in a reusable ActionBuffer, and the tFAW
  * history is a 4-slot ring.
@@ -197,10 +196,10 @@ class MemController
      *  issue before `*wakeup`, the exact time of the next iteration. */
     bool tryIssue(dram::Tick *wakeup);
 
-    /** The exact time of the next scheduler iteration after a failed
-     *  pass whose earliest issue time is `issue_at` (a wakeup
-     *  candidate itself unless it is the bus lookahead). */
-    dram::Tick nextWakeup(dram::Tick issue_at, bool is_candidate) const;
+    /** First wakeup candidate after now_ and at or after `from`: the
+     *  ready times of every bank with queued work, their ranks' ACT
+     *  readiness, throttle releases, and the bus. */
+    dram::Tick nextWakeup(dram::Tick from) const;
 
     /** Write-drain hysteresis tick; returns whether writes drain.
      *  The hysteresis is sequence-stateful, so it must be evaluated

@@ -3,8 +3,9 @@
  * Tests for the named geometry presets and everything they lean on:
  * the per-standard timing tables (DDR4/DDR5/HBM2 selected by the
  * explicit Standard enum), the preset registry itself, the
- * controller's tRRD_S/tRRD_L/tFAW and refresh behavior on shapes
- * where banks-per-rank != 16 and rows-per-bank != 128K, the rounded
+ * controller's tRRD_S/tRRD_L/tFAW, same-bank tRAS + tRP and refresh
+ * behavior on shapes where banks-per-rank != 16 and rows-per-bank !=
+ * 128K, under hand-built and seeded random traffic, the rounded
  * CPU tick, and VulnProfile::resampledTo round-trips onto the preset
  * bank x row spaces.
  */

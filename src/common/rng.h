@@ -30,15 +30,28 @@ splitmix64(uint64_t &state)
     return z ^ (z >> 31);
 }
 
+/** Initial state of hashSeed's fold. */
+constexpr uint64_t kHashSeedInit = 0x9e3779b97f4a7c15ULL;
+
+/**
+ * One step of hashSeed's fold: mix `part` into `state`. Folding a
+ * shared prefix once and calling this per varying tail element gives
+ * exactly hashSeed({prefix..., tail}).
+ */
+inline uint64_t
+hashStep(uint64_t state, uint64_t part)
+{
+    state ^= part + 0x9e3779b97f4a7c15ULL + (state << 6) + (state >> 2);
+    return splitmix64(state);
+}
+
 /** Hash an arbitrary list of 64-bit coordinates into one seed. */
 inline uint64_t
 hashSeed(std::initializer_list<uint64_t> parts)
 {
-    uint64_t state = 0x9e3779b97f4a7c15ULL;
-    for (uint64_t p : parts) {
-        state ^= p + 0x9e3779b97f4a7c15ULL + (state << 6) + (state >> 2);
-        state = splitmix64(state);
-    }
+    uint64_t state = kHashSeedInit;
+    for (uint64_t p : parts)
+        state = hashStep(state, p);
     return state;
 }
 
@@ -53,7 +66,7 @@ hashSeed(std::initializer_list<uint64_t> parts)
 class HashStream
 {
   public:
-    explicit HashStream(uint64_t salt = 0x9e3779b97f4a7c15ULL)
+    explicit HashStream(uint64_t salt = kHashSeedInit)
         : state_(salt)
     {}
 
@@ -101,9 +114,7 @@ class HashStream
     HashStream &
     mixWord(uint64_t v)
     {
-        state_ ^= v + 0x9e3779b97f4a7c15ULL + (state_ << 6) +
-                  (state_ >> 2);
-        state_ = splitmix64(state_);
+        state_ = hashStep(state_, v);
         return *this;
     }
 

@@ -43,12 +43,12 @@ VulnProfile::fromModel(const fault::VulnerabilityModel &model,
     // the weakest (safest) bound. Merging weak bins is conservative;
     // merging strong bins would forfeit Svärd's benefit where it is
     // largest.
-    std::vector<uint32_t> bin_of_label(labels.size());
+    std::vector<uint8_t> bin_of_label(labels.size());
     std::vector<double> merged;
     if (num_bins >= labels.size()) {
         merged = bounds;
         for (size_t i = 0; i < labels.size(); ++i)
-            bin_of_label[i] = static_cast<uint32_t>(i);
+            bin_of_label[i] = static_cast<uint8_t>(i);
     } else {
         const size_t excess = labels.size() - num_bins;
         merged.push_back(bounds[0]);
@@ -57,7 +57,7 @@ VulnProfile::fromModel(const fault::VulnerabilityModel &model,
             if (i <= excess) {
                 bin_of_label[i] = 0; // merged into the weakest bin
             } else {
-                bin_of_label[i] = static_cast<uint32_t>(merged.size());
+                bin_of_label[i] = static_cast<uint8_t>(merged.size());
                 merged.push_back(bounds[i]);
             }
         }
@@ -65,17 +65,9 @@ VulnProfile::fromModel(const fault::VulnerabilityModel &model,
 
     VulnProfile prof(spec.label, spec.banks, spec.rowsPerBank,
                      std::move(merged));
-    for (uint32_t b = 0; b < spec.banks; ++b) {
-        for (uint32_t r = 0; r < spec.rowsPerBank; ++r) {
-            const int64_t q = fault::VulnerabilityModel::quantizeHc(
-                model.hcFirst(b, r));
-            size_t idx = 0;
-            for (size_t i = 0; i < labels.size(); ++i)
-                if (labels[i] == q)
-                    idx = i;
-            prof.setBin(b, r, static_cast<uint8_t>(bin_of_label[idx]));
-        }
-    }
+    for (uint32_t b = 0; b < spec.banks; ++b)
+        model.quantizeBank(b, bin_of_label, prof.bins_[b].data());
+    prof.occupancyDirty_ = true;
     return prof;
 }
 

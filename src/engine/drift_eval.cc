@@ -38,17 +38,15 @@ evaluateDrift(const DriftEvalInput &in)
     const uint32_t per_bank =
         std::min(kDriftSampleRowsPerBank, in.rowsPerBank);
 
+    const fault::DriftField field(in.model,
+                                  hashSeed({in.seed, kFieldTag}),
+                                  in.epochs);
+
     // Deterministic sample set: per bank, a hashed offset plus an odd
     // stride (coprime with the power-of-two row count) covers the
-    // bank without repeats. Each sample carries its module-space
-    // quantized HC_first, keying the Fig. 10 stress transform.
-    struct Sample
-    {
-        uint32_t bank;
-        uint32_t row;
-        int64_t hcQ;
-    };
-    std::vector<Sample> samples;
+    // bank without repeats. Each sample is drawn once, keyed by its
+    // module-space quantized HC_first (the Fig. 10 stress transform).
+    std::vector<fault::DriftField::RowDraw> samples;
     samples.reserve(static_cast<size_t>(in.banks) * per_bank);
     for (uint32_t b = 0; b < in.banks; ++b) {
         const uint64_t h = hashSeed({in.seed, kRowTag, b});
@@ -63,15 +61,11 @@ evaluateDrift(const DriftEvalInput &in)
             const double hc =
                 in.profile ? in.profile->thresholdOf(b, row)
                            : in.uniformHc;
-            samples.push_back(
-                {b, row,
-                 fault::VulnerabilityModel::quantizeHc(hc)});
+            samples.push_back(field.draw(
+                b, row, fault::VulnerabilityModel::quantizeHc(hc)));
         }
     }
 
-    const fault::DriftField field(in.model,
-                                  hashSeed({in.seed, kFieldTag}),
-                                  in.epochs);
     const double g =
         std::min(0.95, in.guardband + in.policy.extraGuardband());
 
@@ -85,11 +79,9 @@ evaluateDrift(const DriftEvalInput &in)
             ++out.recalibrations;
         }
         uint64_t epoch_escapes = 0;
-        for (const Sample &s : samples) {
-            const double f_now =
-                field.factor(s.bank, s.row, s.hcQ, e);
-            const double f_cal =
-                field.factor(s.bank, s.row, s.hcQ, calib_epoch);
+        for (const fault::DriftField::RowDraw &d : samples) {
+            const double f_now = field.factorAt(d, e);
+            const double f_cal = field.factorAt(d, calib_epoch);
             if (f_now < f_cal * (1.0 - g))
                 ++epoch_escapes;
         }

@@ -174,16 +174,12 @@ DriftField::temperatureAt(uint32_t epoch) const
     return temps_[std::min<size_t>(epoch, temps_.size() - 1)];
 }
 
-double
-DriftField::factor(uint32_t bank, uint32_t row, int64_t hc_q,
-                   uint32_t epoch) const
+DriftField::RowDraw
+DriftField::draw(uint32_t bank, uint32_t row, int64_t hc_q) const
 {
-    if (epoch == 0)
-        return 1.0;
-    double f = 1.0;
+    RowDraw d;
     if (spec_.aging) {
-        const double p =
-            agingDropProbability(hc_q);
+        const double p = agingDropProbability(hc_q);
         if (p > 0.0) {
             const double u = hashUniform(
                 {seed_, kDriftAgeTag, bank, row});
@@ -193,23 +189,44 @@ DriftField::factor(uint32_t bank, uint32_t row, int64_t hc_q,
                 // earlier for rows deeper inside the population.
                 const uint32_t period =
                     std::max(1u, spec_.agingPeriodEpochs);
-                const uint32_t drop_epoch =
+                d.dropEpoch =
                     1 + std::min<uint32_t>(
                             period - 1,
                             static_cast<uint32_t>((u / p) * period));
-                if (epoch >= drop_epoch)
-                    f *= agingDropFactor(static_cast<double>(hc_q));
+                d.dropFactor =
+                    agingDropFactor(static_cast<double>(hc_q));
             }
         }
     }
+    if (spec_.thermal)
+        d.thermalSens =
+            0.5 + hashUniform({seed_, kThermTag, bank, row});
+    return d;
+}
+
+double
+DriftField::factorAt(const RowDraw &d, uint32_t epoch) const
+{
+    if (epoch == 0)
+        return 1.0;
+    double f = 1.0;
+    if (epoch >= d.dropEpoch)
+        f *= d.dropFactor;
     if (spec_.thermal) {
         const double dt = temperatureAt(epoch) - temperatureAt(0);
-        const double sens =
-            0.5 + hashUniform({seed_, kThermTag, bank, row});
-        f *= std::clamp(1.0 - spec_.thermalCoeffPerC * dt * sens,
+        f *= std::clamp(1.0 - spec_.thermalCoeffPerC * dt * d.thermalSens,
                         0.25, 4.0);
     }
     return f;
+}
+
+double
+DriftField::factor(uint32_t bank, uint32_t row, int64_t hc_q,
+                   uint32_t epoch) const
+{
+    if (epoch == 0)
+        return 1.0;
+    return factorAt(draw(bank, row, hc_q), epoch);
 }
 
 DriftingModel::DriftingModel(

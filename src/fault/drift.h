@@ -102,6 +102,20 @@ class DriftField
     double factor(uint32_t bank, uint32_t row, int64_t hc_q,
                   uint32_t epoch) const;
 
+    /** A row's epoch-independent draws: everything factor() hashes. */
+    struct RowDraw
+    {
+        uint32_t dropEpoch = UINT32_MAX; ///< first epoch of the drop
+        double dropFactor = 1.0;         ///< agingDropFactor(hc_q)
+        double thermalSens = 0.0;        ///< per-row thermal jitter
+    };
+
+    /** Draw a row once; factorAt(draw(b, r, q), e) == factor(b, r, q, e). */
+    RowDraw draw(uint32_t bank, uint32_t row, int64_t hc_q) const;
+
+    /** factor() at `epoch` from a row's precomputed draws. */
+    double factorAt(const RowDraw &d, uint32_t epoch) const;
+
     const DriftModelSpec &spec() const { return spec_; }
     uint32_t epochs() const { return epochs_; }
 

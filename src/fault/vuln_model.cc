@@ -27,10 +27,17 @@ constexpr dram::Tick kPressBase = 36 * dram::kPsPerNs;
 /** Hammer count of the BER calibration point (128K, K = 2^10). */
 constexpr double kHc128k = 128.0 * 1024.0;
 
+/** Uniform double in [0, 1) from the top 53 bits of a hash. */
+double
+uniformOf(uint64_t h)
+{
+    return (h >> 11) * (1.0 / 9007199254740992.0);
+}
+
 double
 hashUniform(std::initializer_list<uint64_t> parts)
 {
-    return (hashSeed(parts) >> 11) * (1.0 / 9007199254740992.0);
+    return uniformOf(hashSeed(parts));
 }
 
 double
@@ -40,7 +47,51 @@ hashNormal(std::initializer_list<uint64_t> parts)
     return rng.normal();
 }
 
+/** Index of a quantized HC_first among the tested hammer counts. */
+size_t
+indexOfLabel(int64_t q)
+{
+    const auto &labels = dram::testedHammerCounts();
+    const auto it = std::find(labels.begin(), labels.end(), q);
+    SVARD_ASSERT(it != labels.end(), "not a tested hammer count");
+    return static_cast<size_t>(it - labels.begin());
+}
+
 } // anonymous namespace
+
+LogHcQuantizer::LogHcQuantizer(double lo, double hi)
+    : lo_(lo), hi_(hi), logLo_(std::log(lo)), logHi_(std::log(hi)),
+      loIndex_(indexOfLabel(VulnerabilityModel::quantizeHc(lo))),
+      hiIndex_(indexOfLabel(VulnerabilityModel::quantizeHc(hi)))
+{
+    SVARD_ASSERT(lo > 0.0 && lo <= hi, "clamp bounds must be 0 < lo <= hi");
+    const auto &labels = dram::testedHammerCounts();
+    logLabels_.reserve(labels.size());
+    for (int64_t l : labels)
+        logLabels_.push_back(std::log(static_cast<double>(l)));
+}
+
+size_t
+LogHcQuantizer::labelIndex(double x) const
+{
+    if (x < logLo_ - kMargin)
+        return loIndex_;
+    if (x > logHi_ + kMargin)
+        return hiIndex_;
+    // i = the first label whose log is >= x; exp(x) then lies in
+    // (labels[i-1], labels[i]] unless x is near one of the edges.
+    size_t i = 0;
+    while (i < logLabels_.size() && logLabels_[i] < x)
+        ++i;
+    const bool clear =
+        x - logLo_ > kMargin && logHi_ - x > kMargin &&
+        (i == logLabels_.size() || logLabels_[i] - x > kMargin) &&
+        (i == 0 || x - logLabels_[i - 1] > kMargin);
+    if (clear)
+        return std::min(i, logLabels_.size() - 1);
+    return indexOfLabel(VulnerabilityModel::quantizeHc(
+        std::clamp(std::exp(x), lo_, hi_)));
+}
 
 double
 agingDropProbability(int64_t quantized_hc)
@@ -78,7 +129,9 @@ VulnerabilityModel::VulnerabilityModel(
     const dram::ModuleSpec &spec,
     std::shared_ptr<const dram::SubarrayMap> subarrays,
     bool aged)
-    : spec_(spec), subarrays_(std::move(subarrays)), aged_(aged)
+    : spec_(spec), subarrays_(std::move(subarrays)), aged_(aged),
+      hcLo_(0.98 * static_cast<double>(spec.hcFirstMin)),
+      hcHi_(0.98 * static_cast<double>(spec.hcFirstMax))
 {
     SVARD_ASSERT(subarrays_ != nullptr, "model needs a subarray map");
 
@@ -173,20 +226,55 @@ VulnerabilityModel::featureShift(uint32_t bank, uint32_t phys_row) const
 }
 
 double
+VulnerabilityModel::hcLog(uint32_t bank, uint32_t phys_row,
+                          uint64_t hc_seed) const
+{
+    const double z = Rng(hc_seed).normal();
+    const double mu = hcMu_ + featureShift(bank, phys_row);
+    return mu + hcSigma_ * z;
+}
+
+double
 VulnerabilityModel::hcFirstUnaged(uint32_t bank, uint32_t phys_row) const
 {
-    // Clip just under the Table 5 bounds: 0.98x a tested count
-    // quantizes to that count (adjacent tested counts are >= 12.5%
-    // apart), and keeps rows whose threshold sits at a bound from
-    // flapping across a quantization edge under small measurement
-    // error (e.g. a near-tie worst-case-pattern pick).
-    const double lo = 0.98 * static_cast<double>(spec_.hcFirstMin);
-    const double hi = 0.98 * static_cast<double>(spec_.hcFirstMax);
     if (phys_row == weakestRow(bank))
-        return lo;
-    const double z = hashNormal({spec_.seed, kHcTag, bank, phys_row});
-    const double mu = hcMu_ + featureShift(bank, phys_row);
-    return std::clamp(std::exp(mu + hcSigma_ * z), lo, hi);
+        return hcLo_;
+    const double x = hcLog(bank, phys_row,
+                           hashSeed({spec_.seed, kHcTag, bank, phys_row}));
+    return std::clamp(std::exp(x), hcLo_, hcHi_);
+}
+
+void
+VulnerabilityModel::quantizeBank(uint32_t bank,
+                                 const std::vector<uint8_t> &code,
+                                 uint8_t *out) const
+{
+    const auto &labels = dram::testedHammerCounts();
+    SVARD_ASSERT(code.size() == labels.size(),
+                 "one code per tested hammer count");
+    std::vector<double> drop_p(labels.size(), 0.0);
+    if (aged_)
+        for (size_t i = 0; i < labels.size(); ++i)
+            drop_p[i] = agingDropProbability(labels[i]);
+    const LogHcQuantizer quant(hcLo_, hcHi_);
+    const uint64_t hc_prefix = hashSeed({spec_.seed, kHcTag, bank});
+    const uint64_t age_prefix = hashSeed({spec_.seed, kAgeTag, bank});
+    const uint32_t weakest = weakestRow(bank);
+    for (uint32_t r = 0; r < spec_.rowsPerBank; ++r) {
+        size_t idx = 0;
+        if (r == weakest) {
+            idx = indexOfLabel(quantizeHc(hcFirst(bank, r)));
+        } else {
+            idx = quant.labelIndex(
+                hcLog(bank, r, hashStep(hc_prefix, r)));
+            // agingFactor's draw: a row whose drop does not fire keeps
+            // hc * 1.0, i.e. its unaged bin.
+            if (drop_p[idx] > 0.0 &&
+                uniformOf(hashStep(age_prefix, r)) < drop_p[idx])
+                idx = indexOfLabel(quantizeHc(hcFirst(bank, r)));
+        }
+        out[r] = code[idx];
+    }
 }
 
 double

@@ -26,6 +26,7 @@
 #define SVARD_FAULT_VULN_MODEL_H
 
 #include <memory>
+#include <vector>
 
 #include "dram/disturbance.h"
 #include "dram/module_spec.h"
@@ -44,6 +45,35 @@ double agingDropProbability(int64_t quantized_hc);
 /** Multiplicative HC_first factor of a one-step Fig. 10 drop: lands
  *  the row just under the previous tested hammer count. */
 double agingDropFactor(double hc_first);
+
+/**
+ * quantizeHc(clamp(exp(x), lo, hi)), decided in the log domain: `x` is
+ * compared with precomputed logs of the tested hammer counts and of the
+ * clamp bounds, so no exp is needed. An `x` within kMargin of any of
+ * those logs takes the exp + clamp + quantizeHc path instead. glibc
+ * documents exp and log as accurate to 1 ULP (~2e-15 absolute for the
+ * |log| <= 12 used here), far inside kMargin, so both paths agree for
+ * every `x`.
+ */
+class LogHcQuantizer
+{
+  public:
+    static constexpr double kMargin = 1e-9;
+
+    LogHcQuantizer(double lo, double hi);
+
+    /** Index into dram::testedHammerCounts() of the quantized count. */
+    size_t labelIndex(double x) const;
+
+  private:
+    double lo_;
+    double hi_;
+    double logLo_;
+    double logHi_;
+    size_t loIndex_; ///< label index of quantizeHc(lo)
+    size_t hiIndex_; ///< label index of quantizeHc(hi)
+    std::vector<double> logLabels_;
+};
 
 /** Concrete DisturbanceModel calibrated per module (see file header). */
 class VulnerabilityModel : public dram::DisturbanceModel
@@ -80,6 +110,20 @@ class VulnerabilityModel : public dram::DisturbanceModel
     /** Pre-aging HC_first (used by the Fig. 10 experiment). */
     double hcFirstUnaged(uint32_t bank, uint32_t phys_row) const;
 
+    /**
+     * Batch form of quantizeHc(hcFirst(bank, r)) for every row r of a
+     * bank, bit-identical to the per-row path: out[r] = code[i], where
+     * testedHammerCounts()[i] is row r's quantized HC_first. The hash
+     * prefix and the weakest row are found once per bank and each row
+     * is binned by LogHcQuantizer; the weakest row and aged rows whose
+     * Fig. 10 drop fires go through hcFirst.
+     *
+     * @param code one entry per tested hammer count
+     * @param out rowsPerBank entries
+     */
+    void quantizeBank(uint32_t bank, const std::vector<uint8_t> &code,
+                      uint8_t *out) const;
+
     /** The designated weakest physical row of a bank (carries hcMin). */
     uint32_t weakestRow(uint32_t bank) const;
 
@@ -101,6 +145,9 @@ class VulnerabilityModel : public dram::DisturbanceModel
   private:
     double spatialBerFactor(uint32_t phys_row) const;
     double featureShift(uint32_t bank, uint32_t phys_row) const;
+    /** Unclamped log HC_first of a non-weakest row; `hc_seed` is
+     *  hashSeed({seed, kHcTag, bank, phys_row}). */
+    double hcLog(uint32_t bank, uint32_t phys_row, uint64_t hc_seed) const;
     double agingFactor(uint32_t bank, uint32_t phys_row,
                        double hc_unaged) const;
 
@@ -111,6 +158,13 @@ class VulnerabilityModel : public dram::DisturbanceModel
     // derived calibration (computed once in the constructor)
     double hcSigma_;
     double hcMu_;
+    // Clip just under the Table 5 bounds: 0.98x a tested count
+    // quantizes to that count (adjacent tested counts are >= 12.5%
+    // apart), and keeps rows whose threshold sits at a bound from
+    // flapping across a quantization edge under small measurement
+    // error (e.g. a near-tie worst-case-pattern pick).
+    double hcLo_;
+    double hcHi_;
     double berNoiseSigma_;
     double berAmp_;       ///< possibly scaled down to fit the CV budget
     double berChunkAmp_;  ///< likewise

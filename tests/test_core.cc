@@ -39,6 +39,43 @@ TEST(VulnProfile, BinBoundIsSafeLowerBoundOfTrueHcFirst)
     }
 }
 
+TEST(VulnProfile, FromModelMatchesPerRowReference)
+{
+    // fromModel bins through the batch path; each row must land where
+    // quantizeHc(hcFirst) puts it. Every row of S0 (feature effects),
+    // M0 and H1, unaged and aged; every 61st row of the rest.
+    const auto &labels = dram::testedHammerCounts();
+    const size_t excess = labels.size() - 4; // 4 bins: 11 labels in bin 0
+    for (const auto &spec : dram::allModules()) {
+        const bool full = spec.label == "S0" || spec.label == "M0" ||
+                          spec.label == "H1";
+        auto map = std::make_shared<dram::SubarrayMap>(spec);
+        for (bool aged : {false, true}) {
+            if (aged && !full)
+                continue;
+            const fault::VulnerabilityModel model(spec, map, aged);
+            const VulnProfile p14 = VulnProfile::fromModel(model, 14);
+            const VulnProfile p4 = VulnProfile::fromModel(model, 4);
+            const uint32_t step = full ? 1 : 61;
+            for (uint32_t b = 0; b < spec.banks; ++b) {
+                for (uint32_t r = 0; r < spec.rowsPerBank; r += step) {
+                    const int64_t q = fault::VulnerabilityModel::quantizeHc(
+                        model.hcFirst(b, r));
+                    const size_t i = static_cast<size_t>(
+                        std::find(labels.begin(), labels.end(), q) -
+                        labels.begin());
+                    ASSERT_EQ(p14.binOf(b, r), i)
+                        << spec.label << (aged ? " aged" : "")
+                        << " bank " << b << " row " << r;
+                    ASSERT_EQ(p4.binOf(b, r), i > excess ? i - excess : 0)
+                        << spec.label << (aged ? " aged" : "")
+                        << " bank " << b << " row " << r;
+                }
+            }
+        }
+    }
+}
+
 TEST(VulnProfile, MinThresholdBelowModuleMinimum)
 {
     for (const char *label : {"H1", "M0", "S0"}) {

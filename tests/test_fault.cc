@@ -7,8 +7,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/stats.h"
 #include "dram/module_spec.h"
@@ -60,6 +63,39 @@ TEST(VulnModel, QuantizeHc)
     EXPECT_EQ(VM::quantizeHc(13000.0), 16 * 1024);
     EXPECT_EQ(VM::quantizeHc(130000.0), 128 * 1024);
     EXPECT_EQ(VM::quantizeHc(999999.0), 128 * 1024);
+}
+
+TEST(VulnModel, LogQuantizerMatchesExpPathAtBoundaries)
+{
+    // The log-domain decision must equal quantizeHc(clamp(exp(x))) on
+    // and around every edge it compares against: each tested count
+    // and both clamp bounds, at 0 and 1 ULP, inside the fallback
+    // margin (1e-9) and just outside it (2e-9).
+    const auto &labels = dram::testedHammerCounts();
+    std::vector<std::pair<double, double>> bounds = {
+        {1024.0, 128.0 * 1024.0}, // clamp bounds on tested counts
+    };
+    for (const ModuleSpec &spec : dram::allModules())
+        bounds.emplace_back(0.98 * static_cast<double>(spec.hcFirstMin),
+                            0.98 * static_cast<double>(spec.hcFirstMax));
+    for (const auto &[lo, hi] : bounds) {
+        const LogHcQuantizer quant(lo, hi);
+        std::vector<double> edges = {std::log(lo), std::log(hi)};
+        for (int64_t l : labels)
+            edges.push_back(std::log(static_cast<double>(l)));
+        std::vector<double> xs = {std::log(lo) - 1.0,
+                                  std::log(hi) + 1.0};
+        for (double e : edges)
+            for (double x : {e, std::nextafter(e, -INFINITY),
+                             std::nextafter(e, INFINITY), e - 1e-9,
+                             e + 1e-9, e - 2e-9, e + 2e-9})
+                xs.push_back(x);
+        for (double x : xs)
+            EXPECT_EQ(labels[quant.labelIndex(x)],
+                      VulnerabilityModel::quantizeHc(
+                          std::clamp(std::exp(x), lo, hi)))
+                << "lo " << lo << " hi " << hi << " x " << x;
+    }
 }
 
 TEST(VulnModel, WeakestRowCarriesModuleMinimum)

@@ -10,6 +10,8 @@
 #include <bit>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "bender/test_session.h"
 #include "common/rng.h"
@@ -545,21 +547,37 @@ TEST(Disturbance, FlipPlacementPinnedAcrossImplementations)
         uint8_t victimFill;
         uint8_t aggrFill;
         uint64_t hammers;
-        uint64_t flips;
-        uint64_t digest;
+        uint32_t rounds;   ///< hammer + realize cycles, no re-init between
+        bool prewrite;     ///< one written bit per word before hammering
+        uint64_t flips;    ///< bitflips injected over all rounds
+        uint64_t diffBits; ///< final bits differing from victimFill
+        uint64_t digest;   ///< positions of those bits
     };
     // Spans three modules (Samsung/Hynix/Micron models), row-stripe /
-    // checkerboard-ish fills, and flip volumes from single digits to
-    // thousands (the thousands case exercises multi-flip-per-word
-    // staging and flip/counter-flip collisions).
+    // checkerboard-ish fills, and flip volumes from one to thousands
+    // (the thousands cases put many flips in one word and retry on
+    // already-flipped cells). A realized flip discharges its cell, so
+    // it can never flip back; the two-round case instead places its
+    // second event over the first event's deltas, and the prewrite
+    // case writes one charged off-fill bit per word, so flips that
+    // land there return whole words to the fill (a zero delta).
     const Case cases[] = {
-        {"S0", 1, 5000, 0x00, 0xFF, 150000, 53,
+        {"S0", 1, 5000, 0x00, 0xFF, 150000, 1, false, 53, 53,
          0xfc0e073720018317ull},
-        {"S0", 2, 777, 0xAA, 0xAA, 200000, 7, 0x378d54f932226b80ull},
-        {"H1", 0, 12345, 0xFF, 0x00, 180000, 2801,
+        {"S0", 2, 777, 0xAA, 0xAA, 200000, 1, false, 7, 7,
+         0x378d54f932226b80ull},
+        {"H1", 0, 12345, 0xFF, 0x00, 180000, 1, false, 2801, 2801,
          0x63cc3707e6c85061ull},
-        {"M0", 3, 4096, 0xAA, 0x55, 300000, 4299,
+        {"M0", 3, 4096, 0xAA, 0x55, 300000, 1, false, 4299, 4299,
          0x1a784f526c30f7aeull},
+        {"S0", 1, 100, 0x00, 0xFF, 48000, 1, false, 1, 1,
+         0xb97ee59b49f716d0ull},
+        {"S0", 1, 31000, 0x00, 0xFF, 60000, 1, false, 3, 3,
+         0xb9c15aa4dcc2eedfull},
+        {"H1", 0, 12345, 0xFF, 0x00, 180000, 2, false, 5623, 5623,
+         0xbaa0ac77d379b246ull},
+        {"M0", 3, 4096, 0xAA, 0x55, 300000, 1, true, 4294, 5196,
+         0x43b31d7bb502c45dull},
     };
     for (const Case &c : cases) {
         const auto &spec = moduleByLabel(c.label);
@@ -573,25 +591,36 @@ TEST(Disturbance, FlipPlacementPinnedAcrossImplementations)
         session.initRow(c.bank, c.victim, c.victimFill);
         for (uint32_t a : aggrs)
             session.initRow(c.bank, a, c.aggrFill);
-        for (uint32_t a : aggrs)
-            dev.hammer(c.bank, a, c.hammers, dev.timing().tRAS, 0);
+        if (c.prewrite)
+            for (uint32_t i = 0; i < spec.rowBytes; i += 8)
+                dev.writeByte(c.bank, c.victim, i,
+                              uint8_t(c.victimFill ^ 0x01));
+        std::vector<uint8_t> bytes;
+        for (uint32_t round = 0; round < c.rounds; ++round) {
+            for (uint32_t a : aggrs)
+                dev.hammer(c.bank, a, c.hammers, dev.timing().tRAS, 0);
+            bytes = dev.readRow(c.bank, c.victim);
+        }
 
-        const auto bytes = dev.readRow(c.bank, c.victim);
         HashStream digest;
-        uint64_t flips = 0;
+        uint64_t diff_bits = 0;
         for (uint32_t i = 0; i < bytes.size(); ++i) {
             const uint8_t diff = bytes[i] ^ c.victimFill;
             for (int b = 0; b < 8; ++b)
                 if ((diff >> b) & 1) {
                     digest.mix(uint64_t(i) * 8 + b);
-                    ++flips;
+                    ++diff_bits;
                 }
         }
-        EXPECT_EQ(flips, c.flips) << c.label << " row " << c.victim;
-        EXPECT_EQ(digest.value(), c.digest)
-            << c.label << " row " << c.victim;
-        EXPECT_EQ(dev.stats().bitflipsInjected, c.flips)
-            << c.label << " row " << c.victim;
+        const auto where = [&] {
+            return std::string(c.label) + " row " +
+                   std::to_string(c.victim) + " rounds " +
+                   std::to_string(c.rounds) +
+                   (c.prewrite ? " prewrite" : "");
+        };
+        EXPECT_EQ(dev.stats().bitflipsInjected, c.flips) << where();
+        EXPECT_EQ(diff_bits, c.diffBits) << where();
+        EXPECT_EQ(digest.value(), c.digest) << where();
     }
 }
 

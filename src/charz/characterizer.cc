@@ -274,25 +274,31 @@ buildProfile(const dram::ModuleSpec &spec,
 
     // Untested banks fall back to bank (tested banks' union would be
     // unsafe to fabricate); use the first tested bank's rows.
+    //
+    // Each row takes the bin of its nearest tested row, the lower one
+    // on a tie, so the bin changes only at midpoints between tested
+    // rows and each bank is written as runs. Rows before the first
+    // tested row take the second tested row's bin: the per-row rule
+    // this replaces measured their distance to the first tested row
+    // in unsigned arithmetic, which wrapped, and the run form keeps
+    // its output.
     const auto &fallback = tested.begin()->second;
     for (uint32_t bank = 0; bank < spec.banks; ++bank) {
         const auto &rows =
             tested.count(bank) ? tested.at(bank) : fallback;
-        size_t cursor = 0;
-        for (uint32_t r = 0; r < spec.rowsPerBank; ++r) {
-            while (cursor + 1 < rows.size() &&
-                   rows[cursor + 1].first <= r)
-                ++cursor;
-            // Nearest tested row (cursor points at the last <= r).
-            uint8_t bin = rows[cursor].second;
-            if (cursor + 1 < rows.size()) {
-                const uint32_t d_lo = r - rows[cursor].first;
-                const uint32_t d_hi = rows[cursor + 1].first - r;
-                if (d_hi < d_lo)
-                    bin = rows[cursor + 1].second;
-            }
-            prof.setBin(bank, r, bin);
+        const size_t last = rows.size() - 1;
+        prof.fillBins(bank, 0, rows[0].first,
+                      rows[std::min<size_t>(1, last)].second);
+        for (size_t c = 0; c < last; ++c) {
+            const uint32_t lo = rows[c].first;
+            const uint32_t hi = rows[c + 1].first;
+            const uint32_t mid = lo + (hi - lo) / 2 + 1;
+            prof.fillBins(bank, lo, std::min(mid, hi), rows[c].second);
+            prof.fillBins(bank, std::min(mid, hi), hi,
+                          rows[c + 1].second);
         }
+        prof.fillBins(bank, rows[last].first, spec.rowsPerBank,
+                      rows[last].second);
     }
     return prof;
 }

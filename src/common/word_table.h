@@ -24,12 +24,17 @@
  * FlatTable's O(1) generation bump: small tables memset (cheaper than
  * carrying a generation check in every probe), tables that grew past
  * a burst release their arrays and restart small, and a pristine
- * table clears for free — so a scratch table cleared once per
- * realize() costs what it actually staged, not its high-water mark.
+ * table clears for free — so a row rewritten by setFill after a burst
+ * of flips does not keep paying for that burst.
+ *
+ * reserve() sizes the table for a known number of entries in one
+ * rebuild: DramDevice::realize() writes a whole flip event's words
+ * back through it instead of doubling from 16 slots step by step.
  */
 #ifndef SVARD_COMMON_WORD_TABLE_H
 #define SVARD_COMMON_WORD_TABLE_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -169,13 +174,39 @@ class WordTable
     }
 
     /**
+     * Make room for `n` live entries: until size() reaches n, inserts
+     * of new keys do not rehash. Rebuilds at most once, at the
+     * smallest capacity that keeps the load under 0.7 — the capacity
+     * the insert-by-insert doubling would end at — dropping the
+     * tombstones. Live entries and the dead-slots-are-zero invariant
+     * survive; slot order may change.
+     */
+    void
+    reserve(size_t n)
+    {
+        if (n <= size_)
+            return;
+        size_t cap = std::max(initialCap_, keys_.size());
+        while (n * 10 >= cap * 7)
+            cap <<= 1;
+        if (keys_.empty()) {
+            allocate(cap);
+            return;
+        }
+        // Inserts may take one fresh slot each; tombstones already
+        // count against the load.
+        if (cap == keys_.size() && (used_ + n - size_) * 10 < cap * 7)
+            return;
+        rebuild(cap);
+    }
+
+    /**
      * Drop every entry. Free when nothing was touched since the last
      * clear; otherwise O(capacity), because values must return to
      * zero. A table that grew past kShrinkCap releases its arrays and
-     * restarts at the initial capacity: a reused scratch table
-     * (DramDevice::flipScratch_, RowData under setFill churn) must
-     * not keep paying for the largest burst it ever held on every
-     * later clear — that memset tax once cost the charz pipeline 25%.
+     * restarts at the initial capacity: a reused table (RowData under
+     * setFill churn) must not keep paying for the largest burst it
+     * ever held on every later clear.
      */
     void
     clear()
@@ -228,7 +259,13 @@ class WordTable
         // Double only when genuinely full of live entries; a table
         // dominated by tombstones rehashes in place.
         const size_t cap = keys_.size();
-        const size_t new_cap = (size_ * 10 >= cap * 4) ? cap * 2 : cap;
+        rebuild((size_ * 10 >= cap * 4) ? cap * 2 : cap);
+    }
+
+    /** Reinsert the live entries into `new_cap` fresh slots. */
+    void
+    rebuild(size_t new_cap)
+    {
         std::vector<uint32_t> old_keys;
         std::vector<uint64_t> old_vals;
         old_keys.swap(keys_);

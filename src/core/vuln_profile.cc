@@ -81,6 +81,19 @@ VulnProfile::setBin(uint32_t bank, uint32_t row, uint8_t bin)
 }
 
 void
+VulnProfile::fillBins(uint32_t bank, uint32_t row_begin, uint32_t row_end,
+                      uint8_t bin)
+{
+    SVARD_ASSERT(bank < banks_ && row_begin <= row_end &&
+                     row_end <= rowsPerBank_,
+                 "row range out of range");
+    SVARD_ASSERT(bin < binBounds_.size(), "bin out of range");
+    std::fill(bins_[bank].begin() + row_begin,
+              bins_[bank].begin() + row_end, bin);
+    occupancyDirty_ = true;
+}
+
+void
 VulnProfile::refreshOccupancy() const
 {
     uint8_t lo = static_cast<uint8_t>(binBounds_.size() - 1);

@@ -55,6 +55,10 @@ class VulnProfile
     /** Assign one row's bin (builder API used by the charz pipeline). */
     void setBin(uint32_t bank, uint32_t row, uint8_t bin);
 
+    /** Assign `bin` to rows [row_begin, row_end) of one bank. */
+    void fillBins(uint32_t bank, uint32_t row_begin, uint32_t row_end,
+                  uint8_t bin);
+
     uint8_t binOf(uint32_t bank, uint32_t row) const;
 
     /** Safe HC_first lower bound of a row. */

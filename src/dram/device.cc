@@ -414,26 +414,31 @@ DramDevice::realize(uint32_t bank, uint32_t phys_row)
         return splitmix64(s);
     };
 
-    // Batched flip application: candidate draws stay sequential (each
-    // acceptance depends on the flips already accepted, so the RNG
-    // consumption sequence is state-dependent and must be preserved
-    // exactly), but accepted flips accumulate in a word->delta staging
-    // table instead of mutating the row store per flip. Probes during
-    // generation read the staged word (seeded from the row on first
-    // touch), and the row's delta table is written once per *touched
-    // word* at the end — one insert/erase per word instead of one per
-    // flip, which is the win when thousands of flips land in a few
-    // hundred distinct words. Below the threshold that regime never
-    // materializes — the common charz case is a handful of flips in
-    // distinct words, where staging costs more probes than it saves —
-    // so small events apply directly through flipBitIf like the
-    // original per-flip path. Final row state and the injected flip
-    // count are bit-identical either way (tests/test_dram.cc pins
-    // exact flip sets in both regimes).
-    constexpr uint64_t kBatchFlipThreshold = 64;
-    const bool batch = n_flips >= kBatchFlipThreshold;
-    if (batch)
-        flipScratch_.clear();
+    // Flip placement. Candidate draws stay sequential: each acceptance
+    // depends on the flips already accepted, so the RNG consumption
+    // sequence is state-dependent and must be preserved exactly. The
+    // row store is not touched per draw: every probed word is staged
+    // in a dense per-row-word buffer on first touch (its row delta
+    // read once), accepted flips XOR into the staged delta, and the
+    // changed words are written back at the end, after growing the
+    // row's delta table once to its final size. Final row state and
+    // the injected flip count are pinned by tests/test_dram.cc.
+    const uint32_t n_words = (spec_.rowBytes + 7) / 8;
+    if (stage_.size() < n_words) {
+        stage_.resize(n_words);
+        stagedBits_.assign((n_words + 63) / 64, 0);
+    }
+    auto staged = [&](uint32_t w) -> StagedWord & {
+        StagedWord &sw = stage_[w];
+        uint64_t &bits = stagedBits_[w >> 6];
+        const uint64_t bit = uint64_t(1) << (w & 63);
+        if (!(bits & bit)) {
+            bits |= bit;
+            sw.base = sw.delta = rd.deltaWord(w);
+            touched_.push_back(w);
+        }
+        return sw;
+    };
     const uint64_t fill_word = rd.fillWord();
     uint64_t applied = 0;
     for (uint64_t i = 0; i < n_flips; ++i) {
@@ -453,33 +458,26 @@ DramDevice::realize(uint32_t bank, uint32_t phys_row)
                 (orientationHash(bit) >> 11) *
                     (1.0 / 9007199254740992.0) <
                 tf;
-            if (!batch) {
-                if (rd.flipBitIf(bit, true_cell)) {
-                    ++applied;
-                    break;
-                }
-                continue;
-            }
-            const uint32_t w = bit >> 6;
+            StagedWord &sw = staged(bit >> 6);
             const uint64_t mask = uint64_t(1) << (bit & 63);
-            const uint64_t *staged = flipScratch_.find(w);
-            const uint64_t delta =
-                staged != nullptr ? *staged : rd.deltaWord(w);
-            const bool cur = ((fill_word ^ delta) & mask) != 0;
+            const bool cur = ((fill_word ^ sw.delta) & mask) != 0;
             if (cur == true_cell) {
-                // Stage on acceptance only: a rejected attempt costs
-                // one probe per table, like the per-flip path did.
-                // (Staging every *probed* word up front tripled the
-                // insert count and cost the charz pipeline ~25%.)
-                flipScratch_.refOrInsert(w) = delta ^ mask;
+                sw.delta ^= mask;
                 ++applied;
                 break;
             }
         }
     }
-    if (batch)
-        flipScratch_.forEach(
-            [&](uint32_t w, uint64_t d) { rd.setDeltaWord(w, d); });
+    size_t inserts = 0;
+    for (uint32_t w : touched_)
+        inserts += stage_[w].base == 0 && stage_[w].delta != 0;
+    rd.reserveDeltaWords(rd.deltaWordCount() + inserts);
+    for (uint32_t w : touched_) {
+        stagedBits_[w >> 6] &= ~(uint64_t(1) << (w & 63));
+        if (stage_[w].delta != stage_[w].base)
+            rd.setDeltaWord(w, stage_[w].delta);
+    }
+    touched_.clear();
     if (applied > 0) {
         stats_.bitflipsInjected += applied;
         ++stats_.rowsFlipped;

@@ -20,7 +20,6 @@
 
 #include "common/flat_table.h"
 #include "common/rng.h"
-#include "common/word_table.h"
 #include "dram/disturbance.h"
 #include "dram/module_spec.h"
 #include "dram/rowdata.h"
@@ -257,7 +256,17 @@ class DramDevice
     FlatTable<double> pending_;
     FlatTable<ModelMemo> memo_;
     std::vector<uint64_t> refreshKeys_; ///< reused refreshAllRows buffer
-    WordTable flipScratch_{64}; ///< reused realize() word->delta staging
+    /** realize()'s flip staging, one entry per 64-bit word of a row:
+     *  the word's row delta when first touched and its delta with the
+     *  flips accepted so far. Allocated on the first flip event. */
+    struct StagedWord
+    {
+        uint64_t base = 0;
+        uint64_t delta = 0;
+    };
+    std::vector<StagedWord> stage_;
+    std::vector<uint64_t> stagedBits_; ///< bitmap: stage_[w] is live
+    std::vector<uint32_t> touched_;    ///< live words, first-touch order
     DeviceStats stats_;
 };
 

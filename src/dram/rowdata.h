@@ -20,6 +20,7 @@
 #define SVARD_DRAM_ROWDATA_H
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -92,33 +93,9 @@ class RowData
     }
 
     /**
-     * Flip the bit only if it currently stores `expected`; returns
-     * whether it flipped. One table probe instead of the bitAt +
-     * flipBit pair the fault-injection loop would otherwise do.
-     */
-    bool
-    flipBitIf(uint32_t bit_index, bool expected)
-    {
-        const uint64_t mask = uint64_t(1) << (bit_index & 63);
-        uint64_t *d = deltas_.find(bit_index >> 6);
-        const uint64_t delta = d == nullptr ? 0 : *d;
-        const bool bit = ((fillWord() ^ delta) & mask) != 0;
-        if (bit != expected)
-            return false;
-        if (d == nullptr) {
-            deltas_.refOrInsert(bit_index >> 6) = mask;
-        } else {
-            *d ^= mask;
-            if (*d == 0)
-                deltas_.erase(bit_index >> 6);
-        }
-        return true;
-    }
-
-    /**
      * XOR-delta of 64-bit word `w` against the repeating fill word
-     * (0 when the word equals the fill). Word-granular staging access
-     * for DramDevice::realize()'s batched flip application.
+     * (0 when the word equals the fill). Word-granular access for
+     * DramDevice::realize()'s staged flip placement.
      */
     uint64_t
     deltaWord(uint32_t w) const
@@ -137,6 +114,15 @@ class RowData
         }
         deltas_.refOrInsert(w) = d;
     }
+
+    /** Number of words whose delta is nonzero. */
+    size_t deltaWordCount() const { return deltas_.size(); }
+
+    /**
+     * Make room for `n` nonzero word deltas in one table growth, so
+     * that setDeltaWord calls up to that count do not rehash.
+     */
+    void reserveDeltaWords(size_t n) { deltas_.reserve(n); }
 
     /** The fill byte repeated across a 64-bit word. */
     uint64_t fillWord() const { return repeatByte(fill_); }

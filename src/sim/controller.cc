@@ -143,7 +143,7 @@ MemController::closeRow(uint32_t flat_bank)
 }
 
 void
-MemController::doActivate(const MemRequest &req)
+MemController::doActivate(MemRequest &req)
 {
     const auto &t = cfg_.timing;
     Bank &bank = banks_[req.flatBank];
@@ -168,6 +168,8 @@ MemController::doActivate(const MemRequest &req)
         actReady_[r * cfg_.bankGroups + g] = rankActReady(rank, g);
     reindex(req.flatBank);
     ++stats_.activations;
+    stats_.reactivations += req.activated;
+    req.activated = true;
 }
 
 void

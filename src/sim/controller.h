@@ -55,6 +55,9 @@ struct MemRequest
      *  it must not be consulted again when the ACT finally issues
      *  behind the preventive actions it triggered. */
     bool defenseCleared = false;
+    /** An ACT was already issued for this request; its row closed
+     *  again before the column access, so the next ACT re-opens it. */
+    bool activated = false;
 };
 
 /** Controller statistics. */
@@ -74,6 +77,10 @@ struct ControllerStats
     /** ACTs whose tFAW bound was later than every other bound on them
      *  (bank readiness, tRRD, arrival, throttle release). */
     uint64_t tfawStalls = 0;
+    /** ACTs re-opening a row for a request that was activated before.
+     *  A defended request is cleared at its first ACT, so these reach
+     *  the DRAM without a defense onActivate call. */
+    uint64_t reactivations = 0;
 };
 
 /**
@@ -220,7 +227,7 @@ class MemController
     void closeRow(uint32_t flat_bank);
 
     /** Issue an ACT for `req` (timing, tFAW accounting). */
-    void doActivate(const MemRequest &req);
+    void doActivate(MemRequest &req);
 
     void doPrecharge(uint32_t flat_bank);
 

@@ -66,6 +66,7 @@ SimEngine::stats() const
         sum.metadataAccesses += s.metadataAccesses;
         sum.throttleStall += s.throttleStall;
         sum.tfawStalls += s.tfawStalls;
+        sum.reactivations += s.reactivations;
     }
     return sum;
 }

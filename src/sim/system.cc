@@ -31,6 +31,8 @@ foldRunMetrics(const SimEngine &eng, const RunResult &res)
         obs::counter("sim.row_conflicts");
     static const obs::MetricId refr = obs::counter("sim.refreshes");
     static const obs::MetricId tfaw = obs::counter("sim.tfaw_stalls");
+    static const obs::MetricId react =
+        obs::counter("sim.reactivations");
     static const obs::MetricId defActs =
         obs::counter("defense.activations_observed");
     static const obs::MetricId defPrev =
@@ -56,6 +58,7 @@ foldRunMetrics(const SimEngine &eng, const RunResult &res)
     obs::add(rowConf, c.rowConflicts);
     obs::add(refr, c.refreshes);
     obs::add(tfaw, c.tfawStalls);
+    obs::add(react, c.reactivations);
 
     if (!eng.hasDefense())
         return;

@@ -8,13 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "charz/aging.h"
 #include "charz/characterizer.h"
 #include "charz/features.h"
 #include "charz/reveng.h"
+#include "common/rng.h"
 #include "fault/vuln_model.h"
 
 namespace svard::charz {
@@ -137,6 +141,75 @@ TEST(Characterizer, BuildProfileInterpolatesAndStaysOrdered)
     // Untested rows inherit a neighbor's bin.
     const auto bin_of = prof.binOf(1, 256); // midway between samples
     EXPECT_LT(bin_of, prof.numBins());
+}
+
+TEST(Characterizer, BuildProfileRunsMatchPerRowNearestRule)
+{
+    // The per-row rule buildProfile once applied to every row: take
+    // the nearest tested row of the bank, the lower one on a tie
+    // (d_hi == d_lo), with the distances in uint32 — before the first
+    // tested row d_lo wraps, so those rows take the second tested
+    // row's bin. Untested banks use the first tested bank's rows.
+    const auto &spec = dram::moduleByLabel("S0");
+    const auto &labels = dram::testedHammerCounts();
+    ASSERT_EQ(labels.size(), 14u); // 14 bins: bin == label index
+    std::vector<RowResult> results;
+    auto tested = [&](uint32_t bank, uint32_t phys, size_t label) {
+        RowResult r;
+        r.bank = bank;
+        r.physRow = phys;
+        r.hcFirst = labels[label];
+        results.push_back(r);
+    };
+    // Bank 2 first in the map: 5 > 0 (wrapped prefix), 9/13 tie at
+    // 11, 13/14 adjacent, a gap with an odd sum, then the last row.
+    for (auto [phys, label] :
+         {std::pair<uint32_t, size_t>{5, 3}, {9, 7}, {13, 1}, {14, 12},
+          {1001, 4}, {4000, 9}, {spec.rowsPerBank - 1, 0}})
+        tested(2, phys, label);
+    tested(5, 777, 10);     // a bank with a single tested row
+    tested(7, 0, 6);        // tested row 0 ...
+    tested(7, 2, 2);        // ... and a tie at row 1
+    Rng rng(0xB1D5);
+    for (int i = 0; i < 300; ++i)
+        tested(9, static_cast<uint32_t>(rng.below(spec.rowsPerBank)),
+               rng.below(labels.size()));
+    const auto prof = buildProfile(spec, results);
+
+    std::map<uint32_t, std::vector<std::pair<uint32_t, size_t>>> by_bank;
+    for (const auto &r : results)
+        by_bank[r.bank].push_back(
+            {r.physRow, static_cast<size_t>(
+                            std::find(labels.begin(), labels.end(),
+                                      r.hcFirst) -
+                            labels.begin())});
+    for (auto &[bank, rows] : by_bank)
+        std::sort(rows.begin(), rows.end());
+    for (uint32_t bank = 0; bank < spec.banks; ++bank) {
+        const auto &rows = by_bank.count(bank) ? by_bank.at(bank)
+                                               : by_bank.begin()->second;
+        size_t cursor = 0;
+        for (uint32_t r = 0; r < spec.rowsPerBank; ++r) {
+            while (cursor + 1 < rows.size() &&
+                   rows[cursor + 1].first <= r)
+                ++cursor;
+            size_t bin = rows[cursor].second;
+            if (cursor + 1 < rows.size()) {
+                const uint32_t d_lo = r - rows[cursor].first;
+                const uint32_t d_hi = rows[cursor + 1].first - r;
+                if (d_hi < d_lo)
+                    bin = rows[cursor + 1].second;
+            }
+            ASSERT_EQ(prof.binOf(bank, r), bin)
+                << "bank " << bank << " row " << r;
+        }
+    }
+    EXPECT_EQ(prof.binOf(2, 11), 7u);  // tie keeps the lower row
+    EXPECT_EQ(prof.binOf(2, 12), 1u);
+    EXPECT_EQ(prof.binOf(2, 0), 7u);   // wrapped prefix
+    EXPECT_EQ(prof.binOf(7, 1), 6u);
+    EXPECT_EQ(prof.binOf(5, 0), 10u);  // single tested row
+    EXPECT_EQ(prof.binOf(0, 11), 7u);  // untested bank: bank 2's rows
 }
 
 namespace {

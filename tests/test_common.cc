@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common utilities: RNG determinism/moments,
- * descriptive statistics, histograms, and the table emitter.
+ * descriptive statistics, histograms, the table emitter, and the
+ * word-delta table behind RowData.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/word_table.h"
+#include "dram/rowdata.h"
 
 namespace svard {
 namespace {
@@ -472,6 +474,85 @@ TEST(WordTable, DeadSlotsHoldZeroThroughChurnAndClear)
     EXPECT_EQ(simd::xorPopcountBase(t.valsData(), t.capacity(), 0),
               0u);
     EXPECT_EQ(t.size(), 0u);
+}
+
+TEST(WordTable, ReserveKeepsEntriesDropsTombstonesAndZeroesDeadSlots)
+{
+    WordTable t(8);
+    std::map<uint32_t, uint64_t> ref;
+    for (uint32_t k = 0; k < 300; ++k)
+        t.refOrInsert(k * 3) = ref[k * 3] = (uint64_t(k) << 20) | 0xC3u;
+    for (uint32_t k = 0; k < 300; k += 2) {
+        t.erase(k * 3);
+        ref.erase(k * 3);
+    }
+    ASSERT_EQ(t.capacity(), 512u);
+    // 150 live + 150 tombstones + 200 new keys would cross the 0.7
+    // load of 512 slots; 350 live entries alone do not. Only a reserve
+    // that drops the tombstones lets all 200 inserts go in without a
+    // rehash (which would double the table to 1024 slots).
+    t.reserve(t.size() + 200);
+    EXPECT_EQ(t.capacity(), 512u);
+    EXPECT_EQ(t.size(), ref.size());
+    uint64_t live_popcount = 0;
+    t.forEach([&](uint32_t k, uint64_t v) {
+        const auto it = ref.find(k);
+        ASSERT_NE(it, ref.end()) << k;
+        EXPECT_EQ(v, it->second) << k;
+        live_popcount += std::popcount(v);
+    });
+    EXPECT_EQ(simd::xorPopcountBase(t.valsData(), t.capacity(), 0),
+              live_popcount);
+    for (uint32_t k = 0; k < 200; ++k)
+        t.refOrInsert(1000 + k) = ref[1000 + k] = k + 1;
+    EXPECT_EQ(t.capacity(), 512u);
+    EXPECT_LT(t.size() * 10, t.capacity() * 7);
+    for (const auto &[k, v] : ref) {
+        const uint64_t *got = t.find(k);
+        ASSERT_NE(got, nullptr) << k;
+        EXPECT_EQ(*got, v) << k;
+    }
+}
+
+TEST(WordTable, ReserveEndsAtTheCapacityGrowthWouldReach)
+{
+    for (size_t n : {1u, 11u, 12u, 620u, 716u, 717u, 3000u}) {
+        WordTable grown(16), reserved(16);
+        reserved.reserve(n);
+        const size_t cap = reserved.capacity();
+        for (uint32_t k = 0; k < n; ++k) {
+            grown.refOrInsert(k) = k + 1;
+            reserved.refOrInsert(k) = k + 1;
+        }
+        EXPECT_EQ(reserved.capacity(), cap) << n;
+        EXPECT_EQ(reserved.capacity(), grown.capacity()) << n;
+        EXPECT_LT(reserved.size() * 10, reserved.capacity() * 7) << n;
+    }
+}
+
+TEST(WordTable, ReserveLeavesRowContentUnchanged)
+{
+    // RowData::mismatchedBits runs its kernel over the whole value
+    // array, so a reserve that left a nonzero dead slot or lost a
+    // delta would show up here. 131 bytes exercises the tail word.
+    for (uint32_t bytes : {131u, 8192u}) {
+        dram::RowData rd(bytes, 0x55);
+        Rng rng(hashSeed({0x2E5, bytes}));
+        for (int i = 0; i < 400; ++i)
+            rd.flipBit(static_cast<uint32_t>(rng.below(bytes * 8)));
+        for (int i = 0; i < 40; ++i)
+            rd.writeByte(static_cast<uint32_t>(rng.below(bytes)), 0x55);
+        const std::vector<uint8_t> before = rd.toBytes();
+        std::vector<uint64_t> mismatched;
+        for (uint8_t fill : {0x00, 0x55, 0xAA, 0xFF})
+            mismatched.push_back(rd.mismatchedBits(fill));
+        rd.reserveDeltaWords(rd.deltaWordCount() + 700);
+        EXPECT_EQ(rd.toBytes(), before) << bytes;
+        size_t i = 0;
+        for (uint8_t fill : {0x00, 0x55, 0xAA, 0xFF})
+            EXPECT_EQ(rd.mismatchedBits(fill), mismatched[i++])
+                << bytes << " fill " << int(fill);
+    }
 }
 
 TEST(WordTable, RandomOpsMatchReferenceMap)

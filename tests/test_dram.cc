@@ -298,17 +298,21 @@ TEST(RowData, WordStoreMatchesDenseOracleUnderRandomOps)
     }
 }
 
-TEST(RowData, FlipBitIfOnlyFlipsMatchingBits)
+TEST(RowData, DeltaWordsStageWholeWords)
 {
-    RowData rd(32, 0x00);
-    EXPECT_FALSE(rd.flipBitIf(100, true));  // bit holds 0
+    RowData rd(32, 0xF0);
+    EXPECT_EQ(rd.deltaWord(1), 0u);
+    rd.reserveDeltaWords(2);
+    rd.setDeltaWord(1, uint64_t(1) << 36); // byte 12, bit 4: 1 -> 0
+    EXPECT_EQ(rd.deltaWordCount(), 1u);
+    EXPECT_EQ(rd.deltaWord(1), uint64_t(1) << 36);
     EXPECT_FALSE(rd.bitAt(100));
-    EXPECT_TRUE(rd.flipBitIf(100, false));  // 0 -> 1
+    EXPECT_EQ(rd.readByte(12), 0xE0);
+    EXPECT_EQ(rd.mismatchedBits(0xF0), 1u);
+    rd.setDeltaWord(1, 0); // a zero delta erases the word
+    EXPECT_EQ(rd.deltaWordCount(), 0u);
     EXPECT_TRUE(rd.bitAt(100));
-    EXPECT_FALSE(rd.flipBitIf(100, false)); // now holds 1
-    EXPECT_TRUE(rd.flipBitIf(100, true));   // 1 -> back to 0
-    EXPECT_FALSE(rd.bitAt(100));
-    EXPECT_EQ(rd.mismatchedBits(0x00), 0u);
+    EXPECT_EQ(rd.mismatchedBits(0xF0), 0u);
     EXPECT_EQ(rd.exceptionCount(), 0u);
 }
 

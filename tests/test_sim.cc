@@ -215,6 +215,42 @@ TEST(System, RefreshesHappen)
     EXPECT_GT(res.controller.refreshes, 10u);
 }
 
+TEST(System, ReactivationsCountActsTheDefenseNeverSees)
+{
+    const SimConfig cfg = smallConfig();
+    const auto &suite = benchmarkSuite();
+    // Fig. 13 setup: core 0 hammers an RRS aggressor pair while the
+    // others run the benign mix. Conflict PREs close rows under
+    // requests that were already activated, and their re-issued ACTs
+    // skip onActivate: most ACTs of this run are such re-ACTs.
+    std::vector<std::vector<TraceEntry>> traces;
+    traces.push_back(adversarialRrsTrace(1500, 11, 1000, cfg));
+    const WorkloadMix benign = adversarialBenignMix(cfg.cores);
+    for (uint32_t c = 1; c < cfg.cores; ++c)
+        traces.push_back(generateTrace(suite[benign.benchIdx[c - 1]],
+                                       1500, 11, coreTraceOffset(11, c)));
+    System adv(cfg, std::move(traces), 1500, "rrs",
+               std::make_shared<core::UniformThreshold>(128.0,
+                                                        cfg.rowsPerBank),
+               11);
+    const ControllerStats a = adv.run().controller;
+    EXPECT_GT(a.reactivations * 2, a.activations);
+    // Every first ACT of a request precedes one of its column accesses.
+    EXPECT_LE(a.activations - a.reactivations, a.reads + a.writes);
+
+    // One streaming core alone: re-ACTs stay rare. Not zero: a refresh
+    // or a conflict can still close a row before the column access of
+    // the request that opened it (3 of 738 ACTs here).
+    std::vector<std::vector<TraceEntry>> one;
+    one.push_back(
+        generateTrace(benchmarkByName("stream-hi"), 3000, 5, 4ULL << 30));
+    System solo(cfg, std::move(one), 3000, nullptr);
+    const ControllerStats s = solo.run().controller;
+    EXPECT_GT(s.activations, 0u);
+    EXPECT_LT(s.reactivations * 100, s.activations);
+    EXPECT_LE(s.activations - s.reactivations, s.reads + s.writes);
+}
+
 // -----------------------------------------------------------------
 // Defense overhead shape at a future-chip threshold (Fig. 12 core)
 // -----------------------------------------------------------------

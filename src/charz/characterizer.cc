@@ -278,10 +278,9 @@ buildProfile(const dram::ModuleSpec &spec,
     // Each row takes the bin of its nearest tested row, the lower one
     // on a tie, so the bin changes only at midpoints between tested
     // rows and each bank is written as runs. Rows before the first
-    // tested row take the second tested row's bin: the per-row rule
-    // this replaces measured their distance to the first tested row
-    // in unsigned arithmetic, which wrapped, and the run form keeps
-    // its output.
+    // tested row take the second tested row's bin, not the first's:
+    // the nearest-row rule measured that distance in wrapping uint32
+    // arithmetic, and recorded profiles (perfbench digests) keep it.
     const auto &fallback = tested.begin()->second;
     for (uint32_t bank = 0; bank < spec.banks; ++bank) {
         const auto &rows =
@@ -292,10 +291,9 @@ buildProfile(const dram::ModuleSpec &spec,
         for (size_t c = 0; c < last; ++c) {
             const uint32_t lo = rows[c].first;
             const uint32_t hi = rows[c + 1].first;
-            const uint32_t mid = lo + (hi - lo) / 2 + 1;
-            prof.fillBins(bank, lo, std::min(mid, hi), rows[c].second);
-            prof.fillBins(bank, std::min(mid, hi), hi,
-                          rows[c + 1].second);
+            const uint32_t split = std::min(lo + (hi - lo) / 2 + 1, hi);
+            prof.fillBins(bank, lo, split, rows[c].second);
+            prof.fillBins(bank, split, hi, rows[c + 1].second);
         }
         prof.fillBins(bank, rows[last].first, spec.rowsPerBank,
                       rows[last].second);

@@ -55,8 +55,8 @@ struct MemRequest
      *  it must not be consulted again when the ACT finally issues
      *  behind the preventive actions it triggered. */
     bool defenseCleared = false;
-    /** An ACT was already issued for this request; its row closed
-     *  again before the column access, so the next ACT re-opens it. */
+    /** Set when an ACT is issued for this request. Another ACT for it
+     *  re-opens a row that closed before its column access. */
     bool activated = false;
 };
 

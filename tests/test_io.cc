@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -22,6 +23,7 @@
 #include "io/async_sink.h"
 #include "io/result_sink.h"
 #include "io/sweep_cache.h"
+#include "obs/manifest.h"
 
 namespace svard {
 namespace {
@@ -439,29 +441,56 @@ TEST(SweepCache, HitsSkipExecutionAndSpecEditsInvalidateOnlyChanges)
     EXPECT_EQ(changed_results[0].params[0].second, 0.75);
 }
 
+/** The small Fig. 13 grid the adversarial tests sweep: 3 no-defense
+ *  references, 6 defended cells, 3 benign alone-IPC baselines. */
+engine::AdversarialSpec
+advSpec(unsigned threads)
+{
+    engine::AdversarialSpec adv;
+    adv.config.cores = 4;
+    adv.requestsPerCore = 600;
+    adv.threads = threads;
+    adv.cases.push_back(
+        {"Hydra-thrash", "hydra", {sim::adversarialHydraTrace(600, 3)}});
+    adv.cases.push_back({"RRS-swap",
+                         "rrs",
+                         {sim::adversarialRrsTrace(600, 3, 1537),
+                          sim::adversarialRrsTrace(600, 3, 5011)}});
+    adv.providers = {engine::ProviderSpec::uniform(),
+                     engine::ProviderSpec::svard("S3")};
+    return adv;
+}
+
+void
+expectAdvEqual(const std::vector<engine::AdversarialResult> &a,
+               const std::vector<engine::AdversarialResult> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].caseName, b[i].caseName);
+        EXPECT_EQ(a[i].defense, b[i].defense);
+        EXPECT_EQ(a[i].provider, b[i].provider);
+        EXPECT_EQ(a[i].benignWs, b[i].benignWs);
+        EXPECT_EQ(a[i].slowdown, b[i].slowdown);
+        EXPECT_EQ(a[i].normalizedSlowdown, b[i].normalizedSlowdown);
+    }
+}
+
+obs::RunManifest
+loadManifest(const std::string &path)
+{
+    obs::RunManifest m;
+    std::string err;
+    EXPECT_TRUE(obs::readManifest(path, &m, &err)) << err;
+    return m;
+}
+
 TEST(AdversarialSweep, CacheResumesAndSinkStreamsDefendedCells)
 {
     const std::string cache_path = tmpPath("adv.cache");
     std::remove(cache_path.c_str());
 
-    auto make_spec = [] {
-        engine::AdversarialSpec adv;
-        adv.config.cores = 4;
-        adv.requestsPerCore = 600;
-        adv.threads = 2;
-        adv.cases.push_back(
-            {"Hydra-thrash", "hydra",
-             {sim::adversarialHydraTrace(600, 3)}});
-        adv.cases.push_back(
-            {"RRS-swap", "rrs",
-             {sim::adversarialRrsTrace(600, 3, 1537),
-              sim::adversarialRrsTrace(600, 3, 5011)}});
-        adv.providers = {engine::ProviderSpec::uniform(),
-                         engine::ProviderSpec::svard("S3")};
-        return adv;
-    };
-
-    engine::AdversarialSpec cold = make_spec();
+    engine::AdversarialSpec cold = advSpec(2);
     cold.cache = std::make_shared<io::SweepCache>(cache_path);
     auto collect = std::make_shared<CollectSink>();
     cold.sink = collect;
@@ -475,21 +504,115 @@ TEST(AdversarialSweep, CacheResumesAndSinkStreamsDefendedCells)
     EXPECT_EQ(cold_stats.cached, 0u);
     EXPECT_EQ(collect->rows.size(), 6u); // defended cells streamed
 
-    engine::AdversarialSpec hot = make_spec();
+    engine::AdversarialSpec hot = advSpec(2);
     hot.cache = std::make_shared<io::SweepCache>(cache_path);
     engine::SweepIoStats hot_stats;
     const auto hot_rows = engine::runAdversarialSweep(hot, &hot_stats);
     EXPECT_EQ(hot_stats.executed, 0u);
     EXPECT_EQ(hot_stats.cached, 9u);
-    ASSERT_EQ(hot_rows.size(), cold_rows.size());
-    for (size_t i = 0; i < cold_rows.size(); ++i) {
-        EXPECT_EQ(cold_rows[i].caseName, hot_rows[i].caseName);
-        EXPECT_EQ(cold_rows[i].provider, hot_rows[i].provider);
-        EXPECT_EQ(cold_rows[i].benignWs, hot_rows[i].benignWs);
-        EXPECT_EQ(cold_rows[i].slowdown, hot_rows[i].slowdown);
-        EXPECT_EQ(cold_rows[i].normalizedSlowdown,
-                  hot_rows[i].normalizedSlowdown);
+    expectAdvEqual(cold_rows, hot_rows);
+}
+
+TEST(AdversarialSweep, ResultsAndSinkRowsIgnoreThreadCount)
+{
+    std::vector<std::vector<engine::AdversarialResult>> results;
+    std::vector<std::shared_ptr<CollectSink>> sinks;
+    for (unsigned threads : {1u, 4u}) {
+        engine::AdversarialSpec adv = advSpec(threads);
+        sinks.push_back(std::make_shared<CollectSink>());
+        adv.sink = sinks.back();
+        results.push_back(engine::runAdversarialSweep(adv));
     }
+    expectAdvEqual(results[0], results[1]);
+    ASSERT_EQ(sinks[0]->rows.size(), 6u);
+    ASSERT_EQ(sinks[1]->rows.size(), 6u);
+    for (size_t i = 0; i < 6; ++i)
+        expectRowsEqual(sinks[0]->rows[i], sinks[1]->rows[i]);
+}
+
+TEST(AdversarialSweep, ManifestsRecordKindFingerprintAndSplits)
+{
+    const std::string cache_path = tmpPath("adv_manifest.cache");
+    const std::string cold_path = tmpPath("adv_cold.manifest.json");
+    const std::string hot_path = tmpPath("adv_hot.manifest.json");
+    std::remove(cache_path.c_str());
+
+    engine::AdversarialSpec cold = advSpec(2);
+    cold.cache = std::make_shared<io::SweepCache>(cache_path);
+    cold.manifestPath = cold_path;
+    engine::runAdversarialSweep(cold);
+    engine::AdversarialSpec hot = advSpec(2);
+    hot.cache = std::make_shared<io::SweepCache>(cache_path);
+    hot.manifestPath = hot_path;
+    engine::runAdversarialSweep(hot);
+
+    const obs::RunManifest c = loadManifest(cold_path);
+    const obs::RunManifest h = loadManifest(hot_path);
+    EXPECT_EQ(c.kind, "adversarial");
+    EXPECT_EQ(h.kind, "adversarial");
+    EXPECT_NE(c.specFingerprint, 0u);
+    EXPECT_EQ(c.specFingerprint, h.specFingerprint);
+    EXPECT_FALSE(c.interrupted);
+    EXPECT_FALSE(h.interrupted);
+    // Defended cells are the manifest's cells; the reference and
+    // alone-IPC runs are its baselines.
+    EXPECT_EQ(c.cellsTotal, 6u);
+    EXPECT_EQ(c.cellsExecuted, 6u);
+    EXPECT_EQ(c.cellsCached, 0u);
+    EXPECT_EQ(c.baselinesExecuted, 6u);
+    EXPECT_EQ(c.baselinesCached, 0u);
+    // A fully cached re-run probes only the references: the alone
+    // IPCs are needed by executing cells alone.
+    EXPECT_EQ(h.cellsTotal, 6u);
+    EXPECT_EQ(h.cellsExecuted, 0u);
+    EXPECT_EQ(h.cellsCached, 6u);
+    EXPECT_EQ(h.baselinesExecuted, 0u);
+    EXPECT_EQ(h.baselinesCached, 3u);
+}
+
+TEST(AdversarialSweep, PresetStopFlagRunsNoCellAndResumes)
+{
+    const std::string cache_path = tmpPath("adv_stop.cache");
+    const std::string stop_path = tmpPath("adv_stop.manifest.json");
+    const std::string resume_path = tmpPath("adv_resume.manifest.json");
+    std::remove(cache_path.c_str());
+
+    const auto reference = engine::runAdversarialSweep(advSpec(2));
+
+    std::atomic<bool> stop{true};
+    engine::AdversarialSpec stopped = advSpec(2);
+    stopped.cache = std::make_shared<io::SweepCache>(cache_path);
+    stopped.manifestPath = stop_path;
+    stopped.stopFlag = &stop;
+    auto collect = std::make_shared<CollectSink>();
+    stopped.sink = collect;
+    engine::SweepIoStats stop_stats;
+    engine::runAdversarialSweep(stopped, &stop_stats);
+    EXPECT_TRUE(collect->rows.empty());
+    const obs::RunManifest s = loadManifest(stop_path);
+    EXPECT_TRUE(s.interrupted);
+    EXPECT_EQ(s.cellsExecuted, 0u);
+    EXPECT_EQ(s.cellsCached, 0u);
+    // Baselines are built before the pool starts, as in the mix sweep.
+    EXPECT_EQ(s.baselinesExecuted, 6u);
+    EXPECT_EQ(stop_stats.executed, 6u);
+
+    stop.store(false);
+    engine::AdversarialSpec resumed = advSpec(2);
+    resumed.cache = std::make_shared<io::SweepCache>(cache_path);
+    resumed.manifestPath = resume_path;
+    resumed.stopFlag = &stop;
+    engine::SweepIoStats resume_stats;
+    const auto rows = engine::runAdversarialSweep(resumed, &resume_stats);
+    expectAdvEqual(reference, rows);
+    EXPECT_EQ(resume_stats.executed, 6u);
+    EXPECT_EQ(resume_stats.cached, 6u);
+    const obs::RunManifest r = loadManifest(resume_path);
+    EXPECT_FALSE(r.interrupted);
+    EXPECT_EQ(r.cellsExecuted, 6u);
+    EXPECT_EQ(r.cellsCached, 0u);
+    EXPECT_EQ(r.baselinesExecuted, 0u);
+    EXPECT_EQ(r.baselinesCached, 6u);
 }
 
 TEST(SweepCache, SinkFailureSurfacesAsExceptionAndKeepsCheckpoint)

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <set>
 #include <stdexcept>
 
@@ -188,6 +189,18 @@ validateProviderLabels(const std::vector<ProviderSpec> &providers)
     }
 }
 
+/** Reject unknown defense names on the caller's thread, for the
+ *  same reason as validateProviderLabels. */
+void
+validateDefenses(const std::vector<std::string> &names,
+                 const std::string &where)
+{
+    for (const auto &name : names)
+        if (!defense::DefenseRegistry::instance().contains(name))
+            throw std::invalid_argument("unknown defense \"" + name +
+                                        "\" in " + where);
+}
+
 /** Organization-derived geometry label ("2ch-16b-128Kr"). */
 std::string
 derivedGeometryLabel(const sim::SimConfig &g)
@@ -267,7 +280,313 @@ buildProfile(const std::string &label, const sim::SimConfig &cfg)
             cfg.banksPerRank(), cfg.rowsPerBank));
 }
 
+uint64_t
+thresholdBits(double threshold)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &threshold, sizeof(bits));
+    return bits;
+}
+
+/** Order-sensitive hash over every cell fingerprint: the whole grid's
+ *  identity, recorded in the manifest and presented by fabric
+ *  workers to the ledger. */
+uint64_t
+gridFingerprint(const char *tag, const std::vector<CellResult> &cells)
+{
+    HashStream h;
+    h.mix(std::string(tag));
+    for (const CellResult &c : cells)
+        h.mix(c.fingerprint);
+    return h.value();
+}
+
+/** Restore a record from its checkpoint; false on a miss. */
+bool
+restore(io::SweepCache *cache, CellResult &r)
+{
+    CellResult cached;
+    if (!cache || !cache->lookup(r.seed, r.fingerprint, &cached))
+        return false;
+    r.metrics = cached.metrics;
+    r.normalized = cached.normalized;
+    r.drift = cached.drift;
+    return true;
+}
+
+/** Restore every checkpointed record; returns the misses' indices in
+ *  enumeration order. */
+std::vector<size_t>
+probeCache(io::SweepCache *cache, std::vector<CellResult> &records)
+{
+    std::vector<size_t> misses;
+    for (size_t i = 0; i < records.size(); ++i)
+        if (!restore(cache, records[i]))
+            misses.push_back(i);
+    return misses;
+}
+
+/**
+ * Probe-or-simulate for baseline records (alone IPCs, no-defense mix
+ * runs, adversarial references). Checkpointed records are restored;
+ * if any misses, `prepare` (when set) runs once and the misses are
+ * simulated on the pool and checkpointed, so a partial resume stops
+ * recomputing them. Cache failures are latched (workers must not
+ * throw) and rethrown here.
+ */
+void
+resolveBaselines(std::vector<CellResult> &records, io::SweepCache *cache,
+                 unsigned threads, const std::function<void()> &prepare,
+                 const std::function<void(CellResult &)> &simulate,
+                 SweepIoStats *counts)
+{
+    const std::vector<size_t> misses = probeCache(cache, records);
+    counts->cached += records.size() - misses.size();
+    if (misses.empty())
+        return;
+    if (prepare)
+        prepare();
+    ErrorLatch io_errors;
+    parallelFor(misses.size(), threads, [&](size_t j) {
+        CellResult &r = records[misses[j]];
+        simulate(r);
+        try {
+            if (cache)
+                cache->store(r);
+        } catch (...) {
+            io_errors.capture();
+        }
+    });
+    counts->executed += misses.size();
+    io_errors.rethrow();
+}
+
+/** Execute one cache miss and checkpoint it. */
+void
+executeMiss(const std::function<void(size_t)> &execute, size_t i,
+            const CellResult &out, io::SweepCache *cache,
+            std::atomic<size_t> &executed)
+{
+    // Kill/stall drills at cell granularity (no bytes in flight
+    // here, so eio/short/torn outcomes are ignored).
+    faults::check("runner.cell");
+    execute(i);
+    executed.fetch_add(1);
+    if (cache)
+        cache->store(out);
+}
+
+/** One sweep kind as the cell pipeline sees it. */
+struct CellKind
+{
+    /** Enumerated cells with coordinates, seeds, fingerprints and
+     *  axis values resolved; results land in place. */
+    std::vector<CellResult> *cells = nullptr;
+    /** Builds what executing needs (profiles, baselines): called once
+     *  on the caller's thread, only if some cell misses the cache. */
+    std::function<void()> prepare;
+    /** Simulates cell i into its slot; concurrent for distinct i. */
+    std::function<void(size_t)> execute;
+    /** Baseline counts, read once the pool has joined. */
+    const SweepIoStats *baselines = nullptr;
+    /** Kind-specific manifest fields (kind, geometries, seed, request
+     *  count, spec fingerprint, drift axis, fabric workers). */
+    obs::RunManifest manifest;
+};
+
+/** What one pipeline run did. */
+struct PipelineRun
+{
+    size_t executed = 0;
+    size_t cached = 0;
+    bool interrupted = false;
+};
+
+/**
+ * The cell pipeline both sweep kinds run through. `Spec` is SweepSpec
+ * or AdversarialSpec, which share the threads, sink, cache,
+ * manifestPath, stopFlag and progressLabel fields.
+ */
+template <typename Spec>
+PipelineRun
+runCells(const Spec &spec, const CellKind &kind)
+{
+    const auto wall_start = std::chrono::steady_clock::now();
+    std::vector<CellResult> &cells = *kind.cells;
+    io::SweepCache *cache = spec.cache.get();
+    obs::Span run_span("sweep", "run");
+    run_span.arg("cells", static_cast<uint64_t>(cells.size()));
+
+    // Probe the cache once: hits keep their checkpointed metrics,
+    // misses are scheduled.
+    std::vector<size_t> pending;
+    {
+        obs::Span probe_span("sweep", "cache_probe");
+        pending = probeCache(cache, cells);
+        probe_span.arg("hits", static_cast<uint64_t>(cells.size() -
+                                                     pending.size()));
+    }
+    PipelineRun out;
+    out.cached = cells.size() - pending.size();
+    std::vector<char> hit(cells.size(), 1);
+    for (size_t i : pending)
+        hit[i] = 0;
+
+    // Cached cells are complete up front: a resumed sweep's sink
+    // emits the finished prefix at once (on the caller's thread,
+    // where sink errors may throw directly), and cached drift cells
+    // surface their escape/recal counts in the heartbeat.
+    obs::ProgressMeter progress(spec.progressLabel, cells.size());
+    progress.addCached(out.cached);
+    OrderedEmitter emitter(cells, spec.sink.get());
+    for (size_t i = 0; i < cells.size(); ++i)
+        if (hit[i]) {
+            progress.addEscapes(cells[i].drift.escapes);
+            progress.addRecalibrations(cells[i].drift.recalibrations);
+            emitter.complete(i);
+        }
+
+    // A fully cached re-run executes nothing: no profiles, no
+    // baselines, zero simulated cells.
+    if (!pending.empty() && kind.prepare)
+        kind.prepare();
+
+    static const obs::MetricId cells_executed =
+        obs::counter("sweep.cells_executed");
+    static const obs::MetricId cells_cached =
+        obs::counter("sweep.cells_cached");
+    static const obs::MetricId cell_wall =
+        obs::histogram("sweep.cell_wall_us");
+    obs::add(cells_cached, out.cached);
+
+    std::atomic<size_t> executed{0};
+    ErrorLatch io_errors;
+    parallelFor(pending.size(), spec.threads, [&](size_t j) {
+        const size_t i = pending[j];
+        // Graceful stop: drop not-yet-started cells; in-flight ones
+        // finish and checkpoint, so a resume continues from here.
+        if (spec.stopFlag &&
+            spec.stopFlag->load(std::memory_order_relaxed))
+            return;
+        const CellResult &r = cells[i];
+        obs::Span cell_span("sweep", "cell");
+        cell_span.arg("geometry", r.geometry);
+        cell_span.arg("defense", r.defense);
+        cell_span.arg("hc_first", r.threshold);
+        cell_span.arg("provider", r.provider);
+        cell_span.arg("mix", r.mix);
+        cell_span.arg("seed", r.seed);
+        const auto cell_start = std::chrono::steady_clock::now();
+        // Checkpoint before emitting: a kill between the two loses
+        // sink tail rows (rewritten on resume) but never cached work.
+        // I/O failures are latched, not thrown, on worker threads.
+        try {
+            executeMiss(kind.execute, i, r, cache, executed);
+            emitter.complete(i);
+            progress.addEscapes(r.drift.escapes);
+            progress.addRecalibrations(r.drift.recalibrations);
+        } catch (...) {
+            io_errors.capture();
+            emitter.disable();
+        }
+        obs::observe(cell_wall, microsSince(cell_start));
+        obs::add(cells_executed);
+        progress.tick();
+    });
+    io_errors.rethrow();
+    out.executed = executed.load();
+    out.interrupted = spec.stopFlag &&
+                      spec.stopFlag->load(std::memory_order_relaxed);
+    if (spec.sink)
+        spec.sink->flush();
+    progress.finish();
+
+    if (!spec.manifestPath.empty()) {
+        obs::RunManifest m = kind.manifest;
+        m.threads = resolveThreadCount(spec.threads);
+        m.simdImpl = simd::implName(simd::activeImpl());
+        m.buildFlags = obs::buildFlagsString();
+        m.wallSeconds = secondsSince(wall_start);
+        m.cellsTotal = cells.size();
+        m.cellsExecuted = out.executed;
+        m.cellsCached = out.cached;
+        m.baselinesExecuted = kind.baselines->executed;
+        m.baselinesCached = kind.baselines->cached;
+        m.sinkQueueHighWater = sinkQueueHighWater(spec.sink.get());
+        m.interrupted = out.interrupted;
+        // Run-wide drift totals over the full result table, so cached
+        // cells count too (a resumed sweep reports a cold one's).
+        for (const CellResult &r : cells) {
+            m.escapes += r.drift.escapes;
+            m.recalibrations += r.drift.recalibrations;
+        }
+        if (cache)
+            m.cachePath = cache->path();
+        writeManifest(spec.manifestPath, m, obs::snapshot());
+    }
+    return out;
+}
+
 } // anonymous namespace
+
+void
+ProfileSet::build(const std::vector<sim::SimConfig> &geoms,
+                  const std::vector<ProviderSpec> &providers,
+                  const std::vector<double> &thresholds,
+                  unsigned threads)
+{
+    std::vector<std::pair<uint32_t, std::string>> wanted;
+    for (uint32_t g = 0; g < geoms.size(); ++g)
+        for (const auto &p : providers)
+            if (!p.moduleLabel.empty() &&
+                !base_.count({g, p.moduleLabel})) {
+                base_[{g, p.moduleLabel}] = nullptr;
+                wanted.push_back({g, p.moduleLabel});
+            }
+    // Assign through find(): keys were inserted serially above, and
+    // map::find is data-race-const, unlike operator[].
+    parallelFor(wanted.size(), threads, [&](size_t i) {
+        base_.find(wanted[i])->second =
+            buildProfile(wanted[i].second, geoms[wanted[i].first]);
+    });
+
+    // One shared scaled profile per (geometry, label, threshold),
+    // built serially: scaledTo/minThreshold touch mutable profile
+    // state, so the lazy occupancy is settled here, not in a worker.
+    for (const auto &[key, profile] : base_)
+        for (double threshold : thresholds) {
+            auto &slot =
+                scaled_[{key.first, key.second, thresholdBits(threshold)}];
+            if (slot)
+                continue;
+            auto scaled = std::make_shared<core::VulnProfile>(
+                profile->scaledTo(threshold));
+            scaled->minThreshold(); // settle the lazy occupancy
+            slot = std::move(scaled);
+        }
+}
+
+std::shared_ptr<const core::VulnProfile>
+ProfileSet::base(uint32_t geom, const std::string &label) const
+{
+    const auto it = base_.find({geom, label});
+    SVARD_ASSERT(it != base_.end(), "profile not prebuilt: " + label);
+    return it->second;
+}
+
+std::shared_ptr<const core::ThresholdProvider>
+ProfileSet::provider(uint32_t geom, const ProviderSpec &p,
+                     double threshold, uint32_t rows_per_bank) const
+{
+    if (p.moduleLabel.empty())
+        return std::make_shared<core::UniformThreshold>(threshold,
+                                                        rows_per_bank);
+    const auto it =
+        scaled_.find({geom, p.moduleLabel, thresholdBits(threshold)});
+    SVARD_ASSERT(it != scaled_.end(),
+                 "scaled profile not prebuilt: " + p.moduleLabel);
+    return std::make_shared<core::Svard>(it->second);
+}
 
 ExperimentRunner::ExperimentRunner(SweepSpec spec)
     : spec_(std::move(spec))
@@ -289,10 +608,7 @@ ExperimentRunner::ExperimentRunner(SweepSpec spec)
             g.geometry = derivedGeometryLabel(g);
     // Validate names up front: a typo must throw here on the caller's
     // thread, not inside a sharded worker.
-    for (const auto &name : spec_.defenses)
-        if (!defense::DefenseRegistry::instance().contains(name))
-            throw std::invalid_argument(
-                "unknown defense \"" + name + "\" in sweep spec");
+    validateDefenses(spec_.defenses, "sweep spec");
     validateProviderLabels(spec_.providers);
     // A degenerate spec would silently enumerate an empty (or
     // unrunnable) grid; refuse it loudly instead.
@@ -386,36 +702,6 @@ ExperimentRunner::resolveCellMeta(const SweepCell &c,
     out->fingerprint = cellFingerprint(*out);
 }
 
-std::shared_ptr<const core::VulnProfile>
-ExperimentRunner::baseProfile(uint32_t geom,
-                              const std::string &label) const
-{
-    const auto it = profiles_.find({geom, label});
-    SVARD_ASSERT(it != profiles_.end(),
-                 "profile not prebuilt: " + label);
-    return it->second;
-}
-
-std::shared_ptr<const core::ThresholdProvider>
-ExperimentRunner::makeProvider(uint32_t geom, const ProviderSpec &p,
-                               double threshold) const
-{
-    if (p.moduleLabel.empty())
-        return std::make_shared<core::UniformThreshold>(
-            threshold, geoms_[geom].rowsPerBank);
-    uint64_t bits = 0;
-    std::memcpy(&bits, &threshold, sizeof(bits));
-    const auto it =
-        scaledProfiles_.find({geom, p.moduleLabel, bits});
-    if (it != scaledProfiles_.end())
-        return std::make_shared<core::Svard>(it->second);
-    // Not prebuilt (direct calls outside run()): fall back to a
-    // private copy.
-    return std::make_shared<core::Svard>(
-        std::make_shared<core::VulnProfile>(
-            baseProfile(geom, p.moduleLabel)->scaledTo(threshold)));
-}
-
 CellResult
 ExperimentRunner::aloneMeta(uint32_t geom, uint32_t bench) const
 {
@@ -499,48 +785,11 @@ ExperimentRunner::runMixCell(
 void
 ExperimentRunner::computeBaselines()
 {
-    // Phase 0: module profiles (read-only once sharding starts).
-    std::vector<std::pair<uint32_t, std::string>> wanted;
-    for (uint32_t g = 0; g < geoms_.size(); ++g)
-        for (const auto &p : spec_.providers)
-            if (!p.moduleLabel.empty() &&
-                !profiles_.count({g, p.moduleLabel})) {
-                profiles_[{g, p.moduleLabel}] = nullptr;
-                wanted.push_back({g, p.moduleLabel});
-            }
-    // Assign through find(): keys were inserted serially above, and
-    // map::find is data-race-const, unlike operator[].
-    parallelFor(wanted.size(), spec_.threads, [&](size_t i) {
-        profiles_.find(wanted[i])->second =
-            buildProfile(wanted[i].second, geoms_[wanted[i].first]);
-    });
+    profiles_.build(geoms_, spec_.providers, spec_.thresholds,
+                    spec_.threads);
 
-    // Phase 0b: one shared scaled profile per (geometry, label,
-    // threshold) configuration. Occupancy is refreshed here, on one
-    // thread, so the otherwise-immutable profile is safe to share
-    // across concurrently-running cells.
-    for (uint32_t g = 0; g < geoms_.size(); ++g)
-        for (const auto &p : spec_.providers) {
-            if (p.moduleLabel.empty())
-                continue;
-            for (double threshold : spec_.thresholds) {
-                uint64_t bits = 0;
-                std::memcpy(&bits, &threshold, sizeof(bits));
-                auto &slot =
-                    scaledProfiles_[{g, p.moduleLabel, bits}];
-                if (slot)
-                    continue;
-                auto scaled =
-                    std::make_shared<core::VulnProfile>(
-                        baseProfile(g, p.moduleLabel)
-                            ->scaledTo(threshold));
-                scaled->minThreshold(); // settle the lazy occupancy
-                slot = std::move(scaled);
-            }
-        }
-
-    // Phase 1: per-mix traces (seeded by the base seed only, so one
-    // generation serves every geometry and defense configuration).
+    // Per-mix traces (seeded by the base seed only, so one generation
+    // serves every geometry and defense configuration).
     const auto &suite = sim::benchmarkSuite();
     mixTraces_.resize(spec_.mixes.size());
     parallelFor(spec_.mixes.size(), spec_.threads, [&](size_t m) {
@@ -552,75 +801,37 @@ ExperimentRunner::computeBaselines()
                 sim::coreTraceOffset(spec_.baseSeed, c)));
     });
 
-    // Phase 2: per-(geometry, benchmark) alone IPCs. Checkpointed
-    // under the same fingerprint scheme as grid cells, so a partial
-    // resume stops recomputing them. Cache I/O failures are latched
-    // (workers must not throw) and rethrown by the caller.
-    ErrorLatch base_io_errors;
-    const auto benches = benchesUsed();
+    // Per-(geometry, benchmark) alone IPCs, then the per-(geometry,
+    // mix) no-defense runs normalized against them.
+    const std::vector<uint32_t> benches = benchesUsed();
+    std::vector<CellResult> alone;
+    for (uint32_t g = 0; g < geoms_.size(); ++g)
+        for (uint32_t b : benches)
+            alone.push_back(aloneMeta(g, b));
+    resolveBaselines(alone, spec_.cache.get(), spec_.threads, nullptr,
+                     [&](CellResult &r) {
+        r.metrics.weightedSpeedup = sim::measureAloneIpc(
+            geoms_[r.cell.geom], r.cell.mix, spec_.requestsPerCore,
+            spec_.baseSeed);
+    }, &baselines_);
     aloneIpc_.assign(geoms_.size(),
                      std::vector<double>(suite.size(), 0.0));
-    parallelFor(geoms_.size() * benches.size(), spec_.threads,
-                [&](size_t i) {
-        const uint32_t g = static_cast<uint32_t>(i / benches.size());
-        const uint32_t b = benches[i % benches.size()];
-        CellResult meta = aloneMeta(g, b);
-        CellResult cached;
-        if (spec_.cache &&
-            spec_.cache->lookup(meta.seed, meta.fingerprint,
-                                &cached)) {
-            aloneIpc_[g][b] = cached.metrics.weightedSpeedup;
-            cachedBase_.fetch_add(1);
-            return;
-        }
-        std::vector<std::vector<sim::TraceEntry>> traces;
-        traces.push_back(sim::generateTrace(
-            suite[b], spec_.requestsPerCore, spec_.baseSeed,
-            sim::coreTraceOffset(spec_.baseSeed, 0)));
-        sim::System sys(geoms_[g], std::move(traces),
-                        spec_.requestsPerCore, nullptr);
-        aloneIpc_[g][b] = std::max(sys.run().ipc[0], 1e-9);
-        executedBase_.fetch_add(1);
-        meta.metrics.weightedSpeedup = aloneIpc_[g][b];
-        try {
-            if (spec_.cache)
-                spec_.cache->store(meta);
-        } catch (...) {
-            base_io_errors.capture();
-        }
-    });
-    base_io_errors.rethrow();
+    for (const CellResult &r : alone)
+        aloneIpc_[r.cell.geom][r.cell.mix] = r.metrics.weightedSpeedup;
 
-    // Phase 3: per-(geometry, mix) no-defense baselines, cached the
-    // same way.
+    std::vector<CellResult> bases;
+    for (uint32_t g = 0; g < geoms_.size(); ++g)
+        for (uint32_t m = 0; m < spec_.mixes.size(); ++m)
+            bases.push_back(mixBaseMeta(g, m));
+    resolveBaselines(bases, spec_.cache.get(), spec_.threads, nullptr,
+                     [&](CellResult &r) {
+        r.metrics = runMixCell(r.cell.geom, r.cell.mix, "none", nullptr,
+                               r.seed);
+    }, &baselines_);
     mixBase_.assign(geoms_.size(), std::vector<sim::MixMetrics>(
                                        spec_.mixes.size()));
-    parallelFor(geoms_.size() * spec_.mixes.size(), spec_.threads,
-                [&](size_t i) {
-        const uint32_t g =
-            static_cast<uint32_t>(i / spec_.mixes.size());
-        const uint32_t m =
-            static_cast<uint32_t>(i % spec_.mixes.size());
-        CellResult meta = mixBaseMeta(g, m);
-        CellResult cached;
-        if (spec_.cache &&
-            spec_.cache->lookup(meta.seed, meta.fingerprint,
-                                &cached)) {
-            mixBase_[g][m] = cached.metrics;
-            cachedBase_.fetch_add(1);
-            return;
-        }
-        mixBase_[g][m] = runMixCell(g, m, "none", nullptr, meta.seed);
-        executedBase_.fetch_add(1);
-        meta.metrics = mixBase_[g][m];
-        try {
-            if (spec_.cache)
-                spec_.cache->store(meta);
-        } catch (...) {
-            base_io_errors.capture();
-        }
-    });
-    base_io_errors.rethrow();
+    for (const CellResult &r : bases)
+        mixBase_[r.cell.geom][r.cell.mix] = r.metrics;
 }
 
 size_t
@@ -647,13 +858,9 @@ ExperimentRunner::prepareCells()
     // two processes agree on it iff they would simulate the same
     // grid.
     results_.assign(cells_.size(), CellResult{});
-    HashStream spec_hash;
-    spec_hash.mix(std::string("svard-spec-v1"));
-    for (size_t i = 0; i < cells_.size(); ++i) {
+    for (size_t i = 0; i < cells_.size(); ++i)
         resolveCellMeta(cells_[i], &results_[i]);
-        spec_hash.mix(results_[i].fingerprint);
-    }
-    specFingerprint_ = spec_hash.value();
+    specFingerprint_ = gridFingerprint("svard-spec-v1", results_);
     prepared_ = true;
     return cells_.size();
 }
@@ -666,9 +873,8 @@ ExperimentRunner::ensureBaselines()
     obs::Span base_span("sweep", "baselines");
     computeBaselines();
     base_span.arg("executed",
-                  static_cast<uint64_t>(executedBase_.load()));
-    base_span.arg("cached",
-                  static_cast<uint64_t>(cachedBase_.load()));
+                  static_cast<uint64_t>(baselines_.executed));
+    base_span.arg("cached", static_cast<uint64_t>(baselines_.cached));
     baselinesReady_ = true;
 }
 
@@ -677,19 +883,18 @@ ExperimentRunner::executeCell(size_t i)
 {
     SVARD_ASSERT(prepared_ && baselinesReady_ && i < cells_.size(),
                  "executeCell needs prepareCells + ensureBaselines");
+    if (restore(spec_.cache.get(), results_[i]))
+        return false;
+    executeMiss([this](size_t j) { simulateCell(j); }, i, results_[i],
+                spec_.cache.get(), executed_);
+    return true;
+}
+
+void
+ExperimentRunner::simulateCell(size_t i)
+{
     const SweepCell &c = cells_[i];
     CellResult &out = results_[i];
-    CellResult cached;
-    if (spec_.cache &&
-        spec_.cache->lookup(out.seed, out.fingerprint, &cached)) {
-        out.metrics = cached.metrics;
-        out.normalized = cached.normalized;
-        out.drift = cached.drift;
-        return false;
-    }
-    // Kill/stall drills at cell granularity (no bytes in flight
-    // here, so eio/short/torn outcomes are ignored).
-    faults::check("runner.cell");
     const DriftSpec &ds = drifts_[c.drift];
     double recal_duty = 0.0;
     if (!ds.isStatic()) {
@@ -708,7 +913,7 @@ ExperimentRunner::executeCell(size_t i)
             spec_.providers[c.provider].moduleLabel;
         std::shared_ptr<const core::VulnProfile> prof;
         if (!label.empty()) {
-            prof = baseProfile(c.geom, label);
+            prof = profiles_.base(c.geom, label);
             in.profile = prof.get();
         }
         in.tRcPs = static_cast<double>(cfg.timing.tRC);
@@ -720,8 +925,8 @@ ExperimentRunner::executeCell(size_t i)
     }
     out.metrics = runMixCell(
         c.geom, c.mix, out.defense,
-        makeProvider(c.geom, spec_.providers[c.provider],
-                     out.threshold),
+        profiles_.provider(c.geom, spec_.providers[c.provider],
+                           out.threshold, geoms_[c.geom].rowsPerBank),
         out.seed, recal_duty);
     const sim::MixMetrics &base = mixBase_[c.geom][c.mix];
     out.normalized.weightedSpeedup =
@@ -730,15 +935,11 @@ ExperimentRunner::executeCell(size_t i)
         safeRatio(out.metrics.harmonicSpeedup, base.harmonicSpeedup);
     out.normalized.maxSlowdown =
         safeRatio(out.metrics.maxSlowdown, base.maxSlowdown);
-    executed_.fetch_add(1);
-    if (spec_.cache) {
-        // The recalibration write path: storing a drift-annotated
-        // record is what a mid-recal kill drill must tear.
-        if (!ds.isStatic())
-            faults::check("recal.write");
-        spec_.cache->store(out);
-    }
-    return true;
+    // The recalibration write path: the checkpoint of a
+    // drift-annotated record, stored right after this returns, is
+    // what a mid-recal kill drill must tear.
+    if (spec_.cache && !ds.isStatic())
+        faults::check("recal.write");
 }
 
 const std::vector<CellResult> &
@@ -749,157 +950,33 @@ ExperimentRunner::run()
     // A retry after a latched sink/cache error re-enters here with
     // ran_ still false; counters restart so they never double-count.
     executed_.store(0);
-    executedBase_.store(0);
-    cachedBase_.store(0);
+    baselines_ = SweepIoStats{};
     interrupted_ = false;
-
-    const auto wall_start = std::chrono::steady_clock::now();
-    obs::Span run_span("sweep", "run");
-
     prepareCells();
-    run_span.arg("cells", static_cast<uint64_t>(cells_.size()));
 
-    // Probe the cache: hits keep their checkpointed metrics, misses
-    // are scheduled.
-    std::vector<size_t> pending;
-    std::vector<char> hit(cells_.size(), 0);
-    {
-        obs::Span probe_span("sweep", "cache_probe");
-        for (size_t i = 0; i < cells_.size(); ++i) {
-            CellResult &out = results_[i];
-            CellResult cached;
-            if (spec_.cache &&
-                spec_.cache->lookup(out.seed, out.fingerprint,
-                                    &cached)) {
-                out.metrics = cached.metrics;
-                out.normalized = cached.normalized;
-                out.drift = cached.drift;
-                hit[i] = 1;
-            } else {
-                pending.push_back(i);
-            }
-        }
-        probe_span.arg("hits",
-                       static_cast<uint64_t>(cells_.size() -
-                                             pending.size()));
-    }
-    cachedHits_ = cells_.size() - pending.size();
+    CellKind kind;
+    kind.cells = &results_;
+    kind.prepare = [this] { ensureBaselines(); };
+    kind.execute = [this](size_t i) { simulateCell(i); };
+    kind.baselines = &baselines_;
+    obs::RunManifest &m = kind.manifest;
+    m.kind = "sweep";
+    for (const sim::SimConfig &g : geoms_)
+        m.geometries.push_back(g.geometry);
+    m.specFingerprint = specFingerprint_;
+    m.baseSeed = spec_.baseSeed;
+    m.requestsPerCore = spec_.requestsPerCore;
+    m.fabricWorkers = fabricWorkers_;
+    for (const DriftSpec &d : drifts_)
+        m.driftPolicies.push_back(d.name());
 
-    obs::ProgressMeter progress(spec_.progressLabel, cells_.size());
-    progress.addCached(cachedHits_);
-    // Cached drift cells surface their escape/recal counts in the
-    // heartbeat immediately; executed cells add theirs as they land.
-    for (size_t i = 0; i < cells_.size(); ++i)
-        if (hit[i]) {
-            progress.addEscapes(results_[i].drift.escapes);
-            progress.addRecalibrations(
-                results_[i].drift.recalibrations);
-        }
-
-    // A fully cached re-run executes nothing: no baselines, no
-    // profiles, zero simulated cells.
-    if (!pending.empty())
-        ensureBaselines();
-
-    // Stream cells out in final order as they finish; cached cells
-    // are complete up front (so a resumed sweep's sink emits the
-    // already-finished prefix immediately — still on the caller's
-    // thread, where sink errors may throw directly).
-    OrderedEmitter emitter(results_, spec_.sink.get());
-    ErrorLatch io_errors;
-    for (size_t i = 0; i < cells_.size(); ++i)
-        if (hit[i])
-            emitter.complete(i);
-
-    static const obs::MetricId cells_executed =
-        obs::counter("sweep.cells_executed");
-    static const obs::MetricId cells_cached =
-        obs::counter("sweep.cells_cached");
-    static const obs::MetricId cell_wall =
-        obs::histogram("sweep.cell_wall_us");
-    obs::add(cells_cached, cachedHits_);
-
-    std::atomic<size_t> done{cachedHits_};
-    parallelFor(pending.size(), spec_.threads, [&](size_t j) {
-        const size_t i = pending[j];
-        // Graceful stop: drop not-yet-started cells; in-flight ones
-        // finish and checkpoint, so a resume continues from here.
-        if (spec_.stopFlag &&
-            spec_.stopFlag->load(std::memory_order_relaxed))
-            return;
-        const CellResult &out = results_[i];
-        obs::Span cell_span("sweep", "cell");
-        cell_span.arg("geometry", out.geometry);
-        cell_span.arg("defense", out.defense);
-        cell_span.arg("hc_first", out.threshold);
-        cell_span.arg("provider", out.provider);
-        cell_span.arg("mix", out.mix);
-        cell_span.arg("seed", out.seed);
-        const auto cell_start = std::chrono::steady_clock::now();
-        // Checkpoint (inside executeCell) before emitting: a kill
-        // between the two loses sink tail rows (rewritten on resume)
-        // but never cached work. I/O failures are latched, not
-        // thrown, on worker threads.
-        try {
-            executeCell(i);
-            emitter.complete(i);
-            progress.addEscapes(results_[i].drift.escapes);
-            progress.addRecalibrations(
-                results_[i].drift.recalibrations);
-        } catch (...) {
-            io_errors.capture();
-            emitter.disable();
-        }
-        obs::observe(cell_wall, microsSince(cell_start));
-        obs::add(cells_executed);
-        progress.tick();
-        if (spec_.onProgress)
-            spec_.onProgress(done.fetch_add(1) + 1, cells_.size());
-    });
-    io_errors.rethrow();
-    interrupted_ = spec_.stopFlag &&
-                   spec_.stopFlag->load(std::memory_order_relaxed);
-    if (spec_.sink)
-        spec_.sink->flush();
-    progress.finish();
+    const PipelineRun done = runCells(spec_, kind);
+    executed_.store(done.executed);
+    cachedHits_ = done.cached;
+    interrupted_ = done.interrupted;
     // An interrupted run is resumable, not finished: leave ran_
     // false so a later run() (same process, flag cleared) continues.
     ran_ = !interrupted_;
-
-    if (!spec_.manifestPath.empty()) {
-        obs::RunManifest m;
-        m.kind = "sweep";
-        for (const sim::SimConfig &g : geoms_)
-            m.geometries.push_back(g.geometry);
-        m.specFingerprint = specFingerprint_;
-        m.baseSeed = spec_.baseSeed;
-        m.threads = resolveThreadCount(spec_.threads);
-        m.requestsPerCore = spec_.requestsPerCore;
-        m.simdImpl = simd::implName(simd::activeImpl());
-        m.buildFlags = obs::buildFlagsString();
-        m.wallSeconds = secondsSince(wall_start);
-        m.cellsTotal = cells_.size();
-        m.cellsExecuted = executed_.load();
-        m.cellsCached = cachedHits_;
-        m.baselinesExecuted = executedBase_.load();
-        m.baselinesCached = cachedBase_.load();
-        m.sinkQueueHighWater = sinkQueueHighWater(spec_.sink.get());
-        m.interrupted = interrupted_;
-        m.fabricWorkers = fabricWorkers_;
-        // Drift observability: policy axis plus run-wide totals,
-        // summed over the full result table so cached cells count
-        // too (a resumed sweep reports the same totals as a cold
-        // one).
-        for (const DriftSpec &d : drifts_)
-            m.driftPolicies.push_back(d.name());
-        for (const CellResult &r : results_) {
-            m.escapes += r.drift.escapes;
-            m.recalibrations += r.drift.recalibrations;
-        }
-        if (spec_.cache)
-            m.cachePath = spec_.cache->path();
-        writeManifest(spec_.manifestPath, m, obs::snapshot());
-    }
     return results_;
 }
 
@@ -988,15 +1065,11 @@ runAdversarialSweep(const AdversarialSpec &adv,
     const sim::SimConfig &cfg = adv.config;
     const auto &suite = sim::benchmarkSuite();
 
-    const auto wall_start = std::chrono::steady_clock::now();
-    obs::Span run_span("sweep", "adversarial_run");
-
     // Typos must throw here, not inside a sharded worker thread.
+    std::vector<std::string> defenses;
     for (const auto &c : adv.cases)
-        if (!defense::DefenseRegistry::instance().contains(c.defense))
-            throw std::invalid_argument("unknown defense \"" +
-                                        c.defense +
-                                        "\" in adversarial spec");
+        defenses.push_back(c.defense);
+    validateDefenses(defenses, "adversarial spec");
     validateProviderLabels(adv.providers);
     requireSpec(!adv.cases.empty(), "adversarial case list is empty");
     requireSpec(!adv.providers.empty(), "provider axis is empty");
@@ -1005,7 +1078,6 @@ runAdversarialSweep(const AdversarialSpec &adv,
         requireSpec(!c.traces.empty(),
                     "case \"" + c.name + "\" has no traces");
 
-    SweepIoStats stats;
     // Shared fingerprint prefix: everything but the per-cell axes.
     // (The defense threshold is mixed into defended cells only; the
     // no-defense references do not depend on it.)
@@ -1016,303 +1088,143 @@ runAdversarialSweep(const AdversarialSpec &adv,
         h.mix(adv.requestsPerCore).mix(adv.baseSeed);
         return h;
     };
-
-    // Benign companion mix: the fixed assignment MixRunner uses.
-    const sim::WorkloadMix benign = sim::adversarialBenignMix(cfg.cores);
-
-    // Filled only when some cell actually executes: a fully cached
-    // resume must skip profile building and baseline simulation
-    // entirely, just like the main sweep skips its baselines.
-    std::map<std::string, std::shared_ptr<const core::VulnProfile>>
-        profiles;
-    std::vector<double> alone(suite.size(), 0.0);
-
-    // Reference runs (no defense), shared across providers. These
-    // are checkpointed too: a resumed adversarial sweep re-executes
-    // nothing it already finished.
-    std::vector<std::vector<double>> ref(adv.cases.size());
-    std::vector<std::pair<uint32_t, uint32_t>> ref_cells;
-    for (uint32_t c = 0; c < adv.cases.size(); ++c) {
-        ref[c].assign(adv.cases[c].traces.size(), 0.0);
-        for (uint32_t t = 0; t < adv.cases[c].traces.size(); ++t)
-            ref_cells.push_back({c, t});
-    }
-    auto ref_meta = [&](uint32_t c, uint32_t t) {
+    auto record = [&](SweepCell cell, uint64_t seed, std::string defense,
+                      std::string provider, std::string mix) {
         CellResult r;
-        r.cell = {0, c, 0, 0, t};
-        r.seed = hashSeed({adv.baseSeed, c, t, 0xADF0ULL});
+        r.cell = cell;
+        r.seed = seed;
         r.geometry = cfg.geometry;
-        r.defense = "none";
-        r.provider = "(reference)";
-        r.mix = adv.cases[c].name + "#" + std::to_string(t);
-        HashStream h = base_hash("svard-adv-ref-v1");
-        h.mix(r.seed);
-        hashTrace(h, adv.cases[c].traces[t]);
-        r.fingerprint = h.value();
+        r.defense = std::move(defense);
+        r.provider = std::move(provider);
+        r.mix = std::move(mix);
         return r;
     };
-    std::vector<std::pair<uint32_t, uint32_t>> ref_pending;
-    for (const auto &[c, t] : ref_cells) {
-        const CellResult meta = ref_meta(c, t);
-        CellResult cached;
-        if (adv.cache &&
-            adv.cache->lookup(meta.seed, meta.fingerprint, &cached)) {
-            ref[c][t] = cached.metrics.weightedSpeedup;
-            ++stats.cached;
-        } else {
-            ref_pending.push_back({c, t});
+    auto trace_name = [&](uint32_t c, uint32_t t) {
+        return adv.cases[c].name + "#" + std::to_string(t);
+    };
+
+    // Baselines: the alone IPCs of the benign companion mix (the
+    // fixed assignment MixRunner uses), and one no-defense reference
+    // per (case, trace), shared across providers.
+    const sim::WorkloadMix benign = sim::adversarialBenignMix(cfg.cores);
+    std::vector<CellResult> alone;
+    for (uint32_t b : std::set<uint32_t>(benign.benchIdx.begin(),
+                                         benign.benchIdx.end())) {
+        CellResult r = record({0, 0, 0, 0, b},
+                              hashSeed({adv.baseSeed, b, 0xA10FULL}),
+                              "none", "(alone)", suite[b].name);
+        HashStream h = base_hash("svard-adv-alone-v1");
+        h.mix(r.seed).mix(static_cast<uint64_t>(b));
+        r.fingerprint = h.value();
+        alone.push_back(std::move(r));
+    }
+    std::vector<CellResult> refs;
+    std::vector<size_t> first_ref; // refs index of each case's trace 0
+    for (uint32_t c = 0; c < adv.cases.size(); ++c) {
+        first_ref.push_back(refs.size());
+        for (uint32_t t = 0; t < adv.cases[c].traces.size(); ++t) {
+            CellResult r = record({0, c, 0, 0, t},
+                                  hashSeed({adv.baseSeed, c, t, 0xADF0ULL}),
+                                  "none", "(reference)", trace_name(c, t));
+            HashStream h = base_hash("svard-adv-ref-v1");
+            h.mix(r.seed);
+            hashTrace(h, adv.cases[c].traces[t]);
+            r.fingerprint = h.value();
+            refs.push_back(std::move(r));
         }
     }
-    // Defended runs: the full {case x provider x trace} grid, with
-    // cache consult before scheduling and in-order sink emission.
-    struct Cell
-    {
-        uint32_t c, p, t;
-    };
-    std::vector<Cell> cells;
+
+    // Cells: the full {case x provider x trace} defended grid.
+    std::vector<CellResult> cells;
     for (uint32_t c = 0; c < adv.cases.size(); ++c)
         for (uint32_t p = 0; p < adv.providers.size(); ++p)
-            for (uint32_t t = 0; t < adv.cases[c].traces.size(); ++t)
-                cells.push_back({c, p, t});
-
-    std::vector<CellResult> defended(cells.size());
-    std::vector<size_t> pending;
-    std::vector<char> hit(cells.size(), 0);
-    HashStream spec_hash;
-    spec_hash.mix(std::string("svard-adv-spec-v1"));
-    for (size_t i = 0; i < cells.size(); ++i) {
-        const Cell &cell = cells[i];
-        const ProviderSpec &prov = adv.providers[cell.p];
-        CellResult &out = defended[i];
-        out.cell = {0, cell.c, 0, cell.p, cell.t};
-        out.seed = hashSeed(
-            {adv.baseSeed, cell.c, cell.p, cell.t, 0xADF1ULL});
-        out.geometry = cfg.geometry;
-        out.defense = adv.cases[cell.c].defense;
-        out.threshold = adv.threshold;
-        out.provider = prov.name;
-        out.mix =
-            adv.cases[cell.c].name + "#" + std::to_string(cell.t);
-        HashStream h = base_hash("svard-adv-v1");
-        h.mix(out.seed);
-        h.mix(out.defense).mix(adv.threshold);
-        h.mix(prov.name).mix(prov.moduleLabel);
-        hashTrace(h, adv.cases[cell.c].traces[cell.t]);
-        out.fingerprint = h.value();
-        spec_hash.mix(out.fingerprint);
-        CellResult cached;
-        if (adv.cache &&
-            adv.cache->lookup(out.seed, out.fingerprint, &cached)) {
-            out.metrics = cached.metrics;
-            out.normalized = cached.normalized;
-            hit[i] = 1;
-            ++stats.cached;
-        } else {
-            pending.push_back(i);
-        }
-    }
-
-    // Baselines and profiles are only needed for cells that will
-    // actually execute.
-    if (!ref_pending.empty() || !pending.empty()) {
-        std::vector<std::string> labels;
-        for (const auto &p : adv.providers)
-            if (!p.moduleLabel.empty() &&
-                !profiles.count(p.moduleLabel)) {
-                profiles[p.moduleLabel] = nullptr;
-                labels.push_back(p.moduleLabel);
+            for (uint32_t t = 0; t < adv.cases[c].traces.size(); ++t) {
+                const ProviderSpec &prov = adv.providers[p];
+                CellResult r = record(
+                    {0, c, 0, p, t},
+                    hashSeed({adv.baseSeed, c, p, t, 0xADF1ULL}),
+                    adv.cases[c].defense, prov.name, trace_name(c, t));
+                r.threshold = adv.threshold;
+                HashStream h = base_hash("svard-adv-v1");
+                h.mix(r.seed);
+                h.mix(r.defense).mix(adv.threshold);
+                h.mix(prov.name).mix(prov.moduleLabel);
+                hashTrace(h, adv.cases[c].traces[t]);
+                r.fingerprint = h.value();
+                cells.push_back(std::move(r));
             }
-        parallelFor(labels.size(), adv.threads, [&](size_t i) {
-            profiles.find(labels[i])->second =
-                buildProfile(labels[i], cfg);
-        });
 
-        // Alone IPCs of the benign benchmarks, checkpointed like the
-        // main sweep's baselines so resumes skip them too.
-        ErrorLatch alone_io_errors;
-        std::atomic<size_t> alone_cached{0};
-        std::atomic<size_t> alone_executed{0};
-        const std::set<uint32_t> bench_set(benign.benchIdx.begin(),
-                                           benign.benchIdx.end());
-        const std::vector<uint32_t> benches(bench_set.begin(),
-                                            bench_set.end());
-        parallelFor(benches.size(), adv.threads, [&](size_t i) {
-            const uint32_t b = benches[i];
-            CellResult meta;
-            meta.cell = {0, 0, 0, 0, b};
-            meta.seed = hashSeed({adv.baseSeed, b, 0xA10FULL});
-            meta.geometry = cfg.geometry;
-            meta.defense = "none";
-            meta.provider = "(alone)";
-            meta.mix = suite[b].name;
-            HashStream h = base_hash("svard-adv-alone-v1");
-            h.mix(meta.seed).mix(static_cast<uint64_t>(b));
-            meta.fingerprint = h.value();
-            CellResult cached;
-            if (adv.cache &&
-                adv.cache->lookup(meta.seed, meta.fingerprint,
-                                  &cached)) {
-                alone[b] = cached.metrics.weightedSpeedup;
-                alone_cached.fetch_add(1);
-                return;
-            }
-            std::vector<std::vector<sim::TraceEntry>> traces;
-            traces.push_back(sim::generateTrace(
-                suite[b], adv.requestsPerCore, adv.baseSeed,
-                sim::coreTraceOffset(adv.baseSeed, 0)));
-            sim::System sys(cfg, std::move(traces),
-                            adv.requestsPerCore, nullptr);
-            alone[b] = std::max(sys.run().ipc[0], 1e-9);
-            alone_executed.fetch_add(1);
-            meta.metrics.weightedSpeedup = alone[b];
-            try {
-                if (adv.cache)
-                    adv.cache->store(meta);
-            } catch (...) {
-                alone_io_errors.capture();
-            }
-        });
-        alone_io_errors.rethrow();
-        // Keep executed/cached symmetric: baseline runs count on
-        // both sides (the main sweep reports baselines separately).
-        stats.cached += alone_cached.load();
-        stats.executed += alone_executed.load();
-    }
-
+    // Profiles and alone IPCs are built only when something executes:
+    // a fully cached resume builds neither.
+    ProfileSet profiles;
+    std::vector<double> alone_ipc(suite.size(), 0.0);
+    SweepIoStats baselines;
+    bool prepared = false;
+    auto prepare = [&] {
+        if (prepared)
+            return;
+        prepared = true;
+        profiles.build({cfg}, adv.providers, {adv.threshold},
+                       adv.threads);
+        resolveBaselines(alone, adv.cache.get(), adv.threads, nullptr,
+                         [&](CellResult &r) {
+            r.metrics.weightedSpeedup = sim::measureAloneIpc(
+                cfg, r.cell.mix, adv.requestsPerCore, adv.baseSeed);
+        }, &baselines);
+        for (const CellResult &r : alone)
+            alone_ipc[r.cell.mix] = r.metrics.weightedSpeedup;
+    };
     // One adversarial system run: attacker on core 0 (shared
     // implementation with MixRunner::runAdversarial).
-    auto run_one = [&](const std::vector<sim::TraceEntry> &attack,
-                       const std::string &defense_name,
+    auto run_one = [&](const CellResult &r,
                        std::shared_ptr<const core::ThresholdProvider>
-                           provider,
-                       uint64_t seed) {
+                           provider) {
         return sim::adversarialBenignWs(
-            cfg, attack, adv.requestsPerCore, adv.baseSeed,
-            defense_name, std::move(provider), seed,
-            [&](uint32_t b) { return alone[b]; });
+            cfg, adv.cases[r.cell.defense].traces[r.cell.mix],
+            adv.requestsPerCore, adv.baseSeed, r.defense,
+            std::move(provider), r.seed,
+            [&](uint32_t b) { return alone_ipc[b]; });
     };
 
-    // One shared scaled profile per label, built serially with its
-    // lazy occupancy settled: scaledTo/minThreshold touch mutable
-    // profile state, so calling them from concurrent workers (the old
-    // make_provider) raced. Svard instances remain per cell.
-    std::map<std::string, std::shared_ptr<const core::VulnProfile>>
-        scaled_profiles;
-    for (const auto &[label, profile] : profiles) {
-        if (!profile)
-            continue;
-        auto scaled = std::make_shared<core::VulnProfile>(
-            profile->scaledTo(adv.threshold));
-        scaled->minThreshold(); // settle the lazy occupancy
-        scaled_profiles[label] = std::move(scaled);
+    // The references are needed even when every cell is cached: the
+    // slowdowns below divide by them.
+    {
+        obs::Span base_span("sweep", "baselines");
+        resolveBaselines(refs, adv.cache.get(), adv.threads, prepare,
+                         [&](CellResult &r) {
+            r.metrics.weightedSpeedup = run_one(r, nullptr);
+        }, &baselines);
     }
-
-    auto make_provider = [&](const ProviderSpec &p)
-        -> std::shared_ptr<const core::ThresholdProvider> {
-        if (p.moduleLabel.empty())
-            return std::make_shared<core::UniformThreshold>(
-                adv.threshold, cfg.rowsPerBank);
-        return std::make_shared<core::Svard>(
-            scaled_profiles.at(p.moduleLabel));
+    auto ref_ws = [&](const CellResult &r) {
+        return refs[first_ref[r.cell.defense] + r.cell.mix]
+            .metrics.weightedSpeedup;
     };
 
-    ErrorLatch io_errors;
-    parallelFor(ref_pending.size(), adv.threads, [&](size_t i) {
-        const auto [c, t] = ref_pending[i];
-        CellResult out = ref_meta(c, t);
+    CellKind kind;
+    kind.cells = &cells;
+    kind.prepare = prepare;
+    kind.execute = [&](size_t i) {
+        CellResult &out = cells[i];
         out.metrics.weightedSpeedup = run_one(
-            adv.cases[c].traces[t], "none", nullptr, out.seed);
-        ref[c][t] = out.metrics.weightedSpeedup;
-        try {
-            if (adv.cache)
-                adv.cache->store(out);
-        } catch (...) {
-            io_errors.capture();
-        }
-    });
-    stats.executed += ref_pending.size();
-    io_errors.rethrow();
-
-    const size_t defended_hits = cells.size() - pending.size();
-    obs::ProgressMeter progress(adv.progressLabel, cells.size());
-    progress.addCached(defended_hits);
-
-    OrderedEmitter emitter(defended, adv.sink.get());
-    for (size_t i = 0; i < cells.size(); ++i)
-        if (hit[i])
-            emitter.complete(i);
-    std::atomic<size_t> defended_executed{0};
-    parallelFor(pending.size(), adv.threads, [&](size_t j) {
-        const size_t i = pending[j];
-        // Graceful stop: skip cells that have not started yet.
-        if (adv.stopFlag &&
-            adv.stopFlag->load(std::memory_order_relaxed))
-            return;
-        const Cell &cell = cells[i];
-        CellResult &out = defended[i];
-        obs::Span cell_span("sweep", "adversarial_cell");
-        cell_span.arg("case", adv.cases[cell.c].name);
-        cell_span.arg("defense", out.defense);
-        cell_span.arg("provider", out.provider);
-        cell_span.arg("trace", static_cast<uint64_t>(cell.t));
-        cell_span.arg("seed", out.seed);
-        out.metrics.weightedSpeedup = run_one(
-            adv.cases[cell.c].traces[cell.t],
-            adv.cases[cell.c].defense,
-            make_provider(adv.providers[cell.p]), out.seed);
+            out, profiles.provider(0, adv.providers[out.cell.provider],
+                                   adv.threshold, cfg.rowsPerBank));
         // Normalized WS vs. the shared no-defense reference (its
         // inverse is this trace's slowdown).
         out.normalized.weightedSpeedup =
-            safeRatio(out.metrics.weightedSpeedup,
-                      ref[cell.c][cell.t]);
-        defended_executed.fetch_add(1);
-        try {
-            if (adv.cache)
-                adv.cache->store(out);
-            emitter.complete(i);
-        } catch (...) {
-            io_errors.capture();
-            emitter.disable();
-        }
-        progress.tick();
-    });
-    stats.executed += defended_executed.load();
-    io_errors.rethrow();
-    const bool adv_interrupted =
-        adv.stopFlag && adv.stopFlag->load(std::memory_order_relaxed);
-    if (adv.sink)
-        adv.sink->flush();
-    progress.finish();
+            safeRatio(out.metrics.weightedSpeedup, ref_ws(out));
+    };
+    kind.baselines = &baselines;
+    obs::RunManifest &m = kind.manifest;
+    m.kind = "adversarial";
+    m.geometries.push_back(cfg.geometry);
+    m.specFingerprint = gridFingerprint("svard-adv-spec-v1", cells);
+    m.baseSeed = adv.baseSeed;
+    m.requestsPerCore = adv.requestsPerCore;
+
+    const PipelineRun done = runCells(adv, kind);
     if (io_stats)
-        *io_stats = stats;
-
-    if (!adv.manifestPath.empty()) {
-        obs::RunManifest m;
-        m.kind = "adversarial";
-        m.geometries.push_back(cfg.geometry);
-        m.specFingerprint = spec_hash.value();
-        m.baseSeed = adv.baseSeed;
-        m.threads = resolveThreadCount(adv.threads);
-        m.requestsPerCore = adv.requestsPerCore;
-        m.simdImpl = simd::implName(simd::activeImpl());
-        m.buildFlags = obs::buildFlagsString();
-        m.wallSeconds = secondsSince(wall_start);
-        m.cellsTotal = cells.size();
-        m.cellsExecuted = defended_executed.load();
-        m.cellsCached = defended_hits;
-        // Reference + alone runs play the baseline role here.
-        m.baselinesExecuted = stats.executed - defended_executed.load();
-        m.baselinesCached = stats.cached - defended_hits;
-        m.sinkQueueHighWater = sinkQueueHighWater(adv.sink.get());
-        m.interrupted = adv_interrupted;
-        if (adv.cache)
-            m.cachePath = adv.cache->path();
-        writeManifest(adv.manifestPath, m, obs::snapshot());
-    }
-
-    std::vector<double> ws(cells.size(), 0.0);
-    for (size_t i = 0; i < cells.size(); ++i)
-        ws[i] = defended[i].metrics.weightedSpeedup;
+        *io_stats = {baselines.executed + done.executed,
+                     baselines.cached + done.cached};
 
     // Aggregate: mean over each case's traces; normalize each case
     // to its first provider (the spec's baseline configuration).
@@ -1327,8 +1239,9 @@ runAdversarialSweep(const AdversarialSpec &adv,
             r.provider = adv.providers[p].name;
             const size_t n = adv.cases[c].traces.size();
             for (uint32_t t = 0; t < n; ++t, ++idx) {
-                r.benignWs += ws[idx];
-                r.slowdown += safeRatio(ref[c][t], ws[idx]);
+                const double ws = cells[idx].metrics.weightedSpeedup;
+                r.benignWs += ws;
+                r.slowdown += safeRatio(ref_ws(cells[idx]), ws);
             }
             r.benignWs /= static_cast<double>(n);
             r.slowdown /= static_cast<double>(n);

@@ -1,16 +1,21 @@
 /**
  * @file
- * Parallel experiment engine: enumerates a SweepSpec's cells, shards
- * them across a std::thread pool, and emits one result table the
- * figure benches consume. Every cell derives its RNG seed from its
- * grid coordinates (hashSeed over the axis indices), and each worker
- * writes only its own pre-allocated result slot, so the output is
- * bit-identical for any thread count — a 4-thread sharded sweep
- * reproduces the single-threaded run cell for cell.
+ * Parallel experiment engine. Both of the paper's headline grids run
+ * through one cell pipeline: the mix sweep (Fig. 12, ExperimentRunner)
+ * and the adversarial sweep (Fig. 13, runAdversarialSweep) differ only
+ * in how they enumerate their cells and how they execute one. The
+ * pipeline probes the cache once per cell, emits the cached prefix,
+ * builds the kind's baselines if anything misses, shards the misses
+ * across a std::thread pool (stop flag, `runner.cell` fault point,
+ * checkpoint, ordered emit), and writes one progress stream and one
+ * run manifest.
  *
- * Baselines are part of the grid: per-(geometry, benchmark) alone
- * IPCs and per-(geometry, mix) no-defense runs are sharded first,
- * then defense cells run against those fixed references.
+ * Every cell derives its RNG seed from its grid coordinates (hashSeed
+ * over the axis indices), and each worker writes only its own
+ * pre-allocated result slot, so the output is bit-identical for any
+ * thread count. Baselines (alone IPCs, no-defense mixes, adversarial
+ * references) go through one probe-or-simulate helper before any
+ * cell runs against them.
  */
 #ifndef SVARD_ENGINE_RUNNER_H
 #define SVARD_ENGINE_RUNNER_H
@@ -18,7 +23,9 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/table.h"
@@ -30,17 +37,53 @@
 namespace svard::engine {
 
 /**
- * Execute an adversarial grid (Fig. 13): {attack case x provider x
- * trace} cells sharded across a thread pool, no-defense reference
- * runs shared across providers. Deterministic for any thread count.
- * Honors the spec's sink (defended cells stream out in enumeration
- * order) and cache (reference and defended cells are checkpointed
- * and skipped on resume); `io_stats`, when given, receives the
- * executed/cached cell counts.
+ * Execute an adversarial grid (Fig. 13) through the cell pipeline:
+ * the {attack case x provider x trace} defended cells are its cells;
+ * the benign alone IPCs and one no-defense reference per (case,
+ * trace), shared across providers, are its baselines. Deterministic
+ * for any thread count. Honors the spec's sink, cache, manifest, and
+ * stop flag as ExperimentRunner::run does; `io_stats`, when given,
+ * receives the executed/cached counts of cells and baselines
+ * together.
  */
 std::vector<AdversarialResult>
 runAdversarialSweep(const AdversarialSpec &adv,
                     SweepIoStats *io_stats = nullptr);
+
+/**
+ * Module profiles of one sweep, resampled onto each geometry and
+ * scaled to each threshold. Built on the caller's thread before cells
+ * shard (the scaled copies settle their lazy occupancy there) and
+ * read-only afterwards, so concurrently-running cells share them.
+ */
+class ProfileSet
+{
+  public:
+    /** Build every (geometry, module) profile the providers name and
+     *  one scaled copy per threshold; keys already built are kept. */
+    void build(const std::vector<sim::SimConfig> &geoms,
+               const std::vector<ProviderSpec> &providers,
+               const std::vector<double> &thresholds, unsigned threads);
+
+    /** Resampled base profile of (geometry, module label). */
+    std::shared_ptr<const core::VulnProfile>
+    base(uint32_t geom, const std::string &label) const;
+
+    /** A cell's threshold provider: uniform for an unlabeled spec,
+     *  else Svärd over the shared scaled profile. Fresh per cell:
+     *  provider lookup counters and budget memos mutate. */
+    std::shared_ptr<const core::ThresholdProvider>
+    provider(uint32_t geom, const ProviderSpec &p, double threshold,
+             uint32_t rows_per_bank) const;
+
+  private:
+    std::map<std::pair<uint32_t, std::string>,
+             std::shared_ptr<const core::VulnProfile>>
+        base_;
+    std::map<std::tuple<uint32_t, std::string, uint64_t>,
+             std::shared_ptr<const core::VulnProfile>>
+        scaled_;
+};
 
 class ExperimentRunner
 {
@@ -82,7 +125,8 @@ class ExperimentRunner
     /** Execute cell `i` (cache probe first) and checkpoint it into
      *  the spec's cache. Returns true when the cell was simulated,
      *  false on a cache hit. Requires ensureBaselines(); thread-safe
-     *  across distinct `i`. */
+     *  across distinct `i`. run() does not call it: its misses come
+     *  from one probe of the whole grid. */
     bool executeCell(size_t i);
 
     /** Cell metadata after prepareCells() (fabric shard planning). */
@@ -105,11 +149,11 @@ class ExperimentRunner
     size_t cachedCells() const { return cachedHits_; }
 
     /** Baseline runs (alone-IPC + no-defense mixes) simulated. */
-    size_t executedBaselines() const { return executedBase_.load(); }
+    size_t executedBaselines() const { return baselines_.executed; }
 
     /** Baseline runs satisfied from the sweep cache — a partial
      *  resume stops recomputing them. */
-    size_t cachedBaselines() const { return cachedBase_.load(); }
+    size_t cachedBaselines() const { return baselines_.cached; }
 
     /** Order-sensitive hash over every cell fingerprint (the whole
      *  grid's identity; recorded in the run manifest). 0 before
@@ -175,21 +219,15 @@ class ExperimentRunner
      *  axis values) without executing it. */
     void resolveCellMeta(const SweepCell &c, CellResult *out) const;
 
-    /** Resampled base profile of (geometry, module label), cached. */
-    std::shared_ptr<const core::VulnProfile>
-    baseProfile(uint32_t geom, const std::string &label) const;
-
-    /** Build the cell's threshold provider (fresh per cell: provider
-     *  lookup counters are mutable and must not be shared across
-     *  worker threads). */
-    std::shared_ptr<const core::ThresholdProvider>
-    makeProvider(uint32_t geom, const ProviderSpec &p,
-                 double threshold) const;
-
     /** Benchmarks referenced by the spec's mixes (alone baselines). */
     std::vector<uint32_t> benchesUsed() const;
 
     void computeBaselines();
+
+    /** Simulate a cache-missed cell into its result slot (drift
+     *  evaluation, mix run, normalization); no probe, no store. */
+    void simulateCell(size_t i);
+
     sim::MixMetrics runMixCell(uint32_t geom, uint32_t mix,
                                const std::string &defense_name,
                                std::shared_ptr<
@@ -202,18 +240,7 @@ class ExperimentRunner
     std::vector<sim::SimConfig> geoms_;
     std::vector<DriftSpec> drifts_; ///< defaulted + canonicalized
     core::GuardbandWatchdog watchdog_;
-    std::map<std::pair<uint32_t, std::string>,
-             std::shared_ptr<const core::VulnProfile>>
-        profiles_; ///< built before sharding; read-only afterwards
-
-    /** Scaled (geom, label, threshold) profiles, also prebuilt: the
-     *  cells sharing a provider configuration share one immutable
-     *  profile (occupancy pre-refreshed) instead of each copying and
-     *  rescaling megabytes of bin data. Svard instances stay
-     *  per-cell — their lookup counters and budget memos mutate. */
-    std::map<std::tuple<uint32_t, std::string, uint64_t>,
-             std::shared_ptr<const core::VulnProfile>>
-        scaledProfiles_;
+    ProfileSet profiles_; ///< built before sharding; read-only afterwards
 
     /** Per-mix core traces, generated once and copied into each cell
      *  (traces depend only on the base seed, not the geometry).
@@ -238,8 +265,7 @@ class ExperimentRunner
     bool ran_ = false;
     std::atomic<size_t> executed_{0};
     size_t cachedHits_ = 0;
-    std::atomic<size_t> executedBase_{0};
-    std::atomic<size_t> cachedBase_{0};
+    SweepIoStats baselines_; ///< alone-IPC + no-defense mix runs
     uint64_t specFingerprint_ = 0;
     std::vector<obs::FabricWorkerStats> fabricWorkers_;
 };

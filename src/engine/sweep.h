@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -134,13 +133,6 @@ struct SweepSpec
 
     /** Worker threads for cell sharding (0 = hardware concurrency). */
     unsigned threads = 0;
-
-    /**
-     * Progress hook invoked after each defense cell completes, as
-     * (cells_done, cells_total). Called concurrently from worker
-     * threads — keep it cheap and thread-safe (an fprintf is fine).
-     */
-    std::function<void(size_t, size_t)> onProgress;
 
     /**
      * Defense parameter bag applied to every cell's DefenseContext

@@ -90,17 +90,10 @@ SweepCache::lookup(uint64_t seed, uint64_t fingerprint,
 {
     static const obs::MetricId hits = obs::counter("cache.hits");
     static const obs::MetricId misses = obs::counter("cache.misses");
-    static const obs::MetricId invalidated =
-        obs::counter("cache.invalidated");
     MutexLock lock(mu_);
     const auto it = cells_.find({seed, fingerprint});
     if (it == cells_.end()) {
         obs::add(misses);
-        // Same cell seed cached under a different fingerprint: the
-        // spec's resolved inputs changed and invalidated this record.
-        const auto near = cells_.lower_bound({seed, 0});
-        if (near != cells_.end() && near->first.first == seed)
-            obs::add(invalidated);
         return false;
     }
     obs::add(hits);

@@ -214,29 +214,18 @@ System::run()
     return out;
 }
 
-const char *
-defenseKindName(DefenseKind k)
+double
+measureAloneIpc(const SimConfig &cfg, uint32_t bench_idx,
+                size_t requests_per_core, uint64_t seed)
 {
-    switch (k) {
-      case DefenseKind::None: return "None";
-      case DefenseKind::Para: return "PARA";
-      case DefenseKind::BlockHammer: return "BlockHammer";
-      case DefenseKind::Hydra: return "Hydra";
-      case DefenseKind::Aqua: return "AQUA";
-      case DefenseKind::Rrs: return "RRS";
-      case DefenseKind::Graphene: return "Graphene";
-    }
-    return "?";
-}
-
-std::unique_ptr<defense::Defense>
-makeDefense(DefenseKind kind,
-            std::shared_ptr<const core::ThresholdProvider> provider,
-            uint64_t seed, const SimConfig &cfg)
-{
-    return defense::makeDefenseByName(
-        defenseKindName(kind),
-        defense::DefenseContext(cfg, std::move(provider), seed));
+    std::vector<std::vector<TraceEntry>> traces;
+    traces.push_back(generateTrace(benchmarkSuite()[bench_idx],
+                                   requests_per_core, seed,
+                                   coreTraceOffset(seed, 0)));
+    // The legacy constructor: no registry defense is built, not even
+    // "none".
+    System sys(cfg, std::move(traces), requests_per_core, nullptr);
+    return std::max(sys.run().ipc[0], 1e-9);
 }
 
 MixRunner::MixRunner(SimConfig cfg, size_t requests_per_core,
@@ -262,15 +251,9 @@ double
 MixRunner::aloneIpc(uint32_t bench_idx)
 {
     SVARD_ASSERT(bench_idx < aloneCache_.size(), "bench out of range");
-    if (aloneCache_[bench_idx] > 0.0)
-        return aloneCache_[bench_idx];
-    const auto &profile = benchmarkSuite()[bench_idx];
-    std::vector<std::vector<TraceEntry>> traces;
-    traces.push_back(generateTrace(profile, requests_, seed_,
-                                   coreTraceOffset(seed_, 0)));
-    System sys(cfg_, std::move(traces), requests_, nullptr);
-    const RunResult res = sys.run();
-    aloneCache_[bench_idx] = std::max(res.ipc[0], 1e-9);
+    if (aloneCache_[bench_idx] == 0.0)
+        aloneCache_[bench_idx] =
+            measureAloneIpc(cfg_, bench_idx, requests_, seed_);
     return aloneCache_[bench_idx];
 }
 
@@ -338,15 +321,6 @@ MixRunner::runMix(
         res, mix, [this](uint32_t b) { return aloneIpc(b); });
 }
 
-MixMetrics
-MixRunner::runMix(
-    const WorkloadMix &mix, DefenseKind kind,
-    std::shared_ptr<const core::ThresholdProvider> provider,
-    RunResult *raw)
-{
-    return runMix(mix, defenseKindName(kind), std::move(provider), raw);
-}
-
 double
 MixRunner::runAdversarial(
     const std::vector<TraceEntry> &attack_trace,
@@ -357,15 +331,6 @@ MixRunner::runAdversarial(
         cfg_, attack_trace, requests_, seed_, defense_name,
         std::move(provider), seed_,
         [this](uint32_t b) { return aloneIpc(b); });
-}
-
-double
-MixRunner::runAdversarial(
-    const std::vector<TraceEntry> &attack_trace, DefenseKind kind,
-    std::shared_ptr<const core::ThresholdProvider> provider)
-{
-    return runAdversarial(attack_trace, defenseKindName(kind),
-                          std::move(provider));
 }
 
 } // namespace svard::sim

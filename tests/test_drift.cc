@@ -16,9 +16,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "bender/test_session.h"
 #include "core/recal.h"
 #include "core/svard.h"
@@ -31,6 +28,7 @@
 #include "fault_inject/fault_inject.h"
 #include "io/result_sink.h"
 #include "io/sweep_cache.h"
+#include "kill_drill.h"
 #include "obs/manifest.h"
 #include "obs/progress.h"
 #include "sim/workload.h"
@@ -525,23 +523,6 @@ TEST(DriftSweep, HeartbeatRecordsCarryDriftCounters)
     EXPECT_TRUE(nonzero);
 }
 
-/** Run the drift-axis sweep into `cache_path` under `fault`, dying at
- *  the injected point. Forked child: _Exit codes only. */
-void
-runKilledChild(const std::string &cache_path, const std::string &fault)
-{
-    try {
-        faults::configure(fault);
-        engine::SweepSpec spec = driftAxisSpec(1);
-        spec.cache = std::make_shared<io::SweepCache>(cache_path);
-        engine::ExperimentRunner runner(std::move(spec));
-        runner.run();
-    } catch (...) {
-        ::_Exit(3);
-    }
-    ::_Exit(0); // fault did not fire
-}
-
 class DriftKillDrill : public ::testing::TestWithParam<const char *>
 {
   protected:
@@ -566,15 +547,12 @@ TEST_P(DriftKillDrill, KilledSweepResumesByteIdentical)
     engine::ExperimentRunner ref(std::move(ref_spec));
     ref.run();
 
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0)
-        runKilledChild(cache_path, GetParam()); // never returns
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    ASSERT_EQ(WEXITSTATUS(status), 137)
-        << "the injected kill must fire mid-sweep";
+    const int code = exitCodeUnderFault(GetParam(), [&] {
+        engine::SweepSpec spec = driftAxisSpec(1);
+        spec.cache = std::make_shared<io::SweepCache>(cache_path);
+        engine::ExperimentRunner(std::move(spec)).run();
+    });
+    ASSERT_EQ(code, 137) << "the injected kill must fire mid-sweep";
 
     // Resume from whatever the killed run checkpointed; the finished
     // table must match the uninterrupted reference byte for byte.

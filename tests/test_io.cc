@@ -5,7 +5,9 @@
  * — including the headline guarantee that a sweep killed mid-run and
  * resumed from its checkpoint produces a byte-identical result table
  * to an uninterrupted run at any thread count, and that a fully
- * cached re-run executes zero cells.
+ * cached re-run executes zero cells. The adversarial sweep is held
+ * to the same guarantees: thread-count identity, manifests, a preset
+ * stop flag, and a kill drill at the runner.cell fault point.
  */
 #include <gtest/gtest.h>
 
@@ -20,9 +22,11 @@
 #include "defense/blockhammer.h"
 #include "defense/registry.h"
 #include "engine/runner.h"
+#include "fault_inject/fault_inject.h"
 #include "io/async_sink.h"
 #include "io/result_sink.h"
 #include "io/sweep_cache.h"
+#include "kill_drill.h"
 #include "obs/manifest.h"
 
 namespace svard {
@@ -613,6 +617,32 @@ TEST(AdversarialSweep, PresetStopFlagRunsNoCellAndResumes)
     EXPECT_EQ(r.cellsCached, 0u);
     EXPECT_EQ(r.baselinesExecuted, 0u);
     EXPECT_EQ(r.baselinesCached, 6u);
+}
+
+TEST(AdversarialSweep, KilledAtRunnerCellResumesToUninterruptedResults)
+{
+    if (!faults::compiled())
+        GTEST_SKIP() << "fault harness compiled out";
+    const std::string cache_path = tmpPath("adv_kill.cache");
+    std::remove(cache_path.c_str());
+    const auto reference = engine::runAdversarialSweep(advSpec(1));
+
+    // Fig. 13 cells pass the runner.cell fault point like mix cells:
+    // the second defended cell dies after the first was checkpointed.
+    const int code = exitCodeUnderFault("runner.cell:kill@2", [&] {
+        engine::AdversarialSpec adv = advSpec(1);
+        adv.cache = std::make_shared<io::SweepCache>(cache_path);
+        engine::runAdversarialSweep(adv);
+    });
+    ASSERT_EQ(code, 137) << "the injected kill must fire mid-sweep";
+
+    engine::AdversarialSpec resumed = advSpec(4);
+    resumed.cache = std::make_shared<io::SweepCache>(cache_path);
+    engine::SweepIoStats stats;
+    expectAdvEqual(reference, engine::runAdversarialSweep(resumed, &stats));
+    // Baselines and the first cell came from the killed run's cache.
+    EXPECT_EQ(stats.executed, 5u);
+    EXPECT_EQ(stats.cached, 7u);
 }
 
 TEST(SweepCache, SinkFailureSurfacesAsExceptionAndKeepsCheckpoint)

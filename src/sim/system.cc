@@ -222,8 +222,9 @@ measureAloneIpc(const SimConfig &cfg, uint32_t bench_idx,
     traces.push_back(generateTrace(benchmarkSuite()[bench_idx],
                                    requests_per_core, seed,
                                    coreTraceOffset(seed, 0)));
-    // The legacy constructor: no registry defense is built, not even
-    // "none".
+    // The legacy constructor builds no registry defense, not even
+    // "none": perfbench ends the adversarial set-up at the first
+    // registry "none", which must be a no-defense reference run.
     System sys(cfg, std::move(traces), requests_per_core, nullptr);
     return std::max(sys.run().ipc[0], 1e-9);
 }
